@@ -94,10 +94,6 @@ def _primes_str(primes):
     return sorted(sorted(p) for p in primes)
 
 
-def _plus(I, J):
-    return ideal_sum(I, J)
-
-
 def _require_linked(inst):
     b = inst.partner()
     if not is_linked(inst.a, b, inst.I, inst.module, inst.witness):
@@ -133,8 +129,8 @@ def check_structure(inst):
     details = {}
     ok = True
 
-    lhs = _plus(inst.I, J)
-    rhs = _plus(intersect_ideals(inst.a, b), J)
+    lhs = ideal_sum(inst.I, J)
+    rhs = ideal_sum(intersect_ideals(inst.a, b), J)
     clause1 = radicals_equal(lhs, rhs)
     details["radical_I_plus_ann"] = _gens_str(lhs)
     details["radical_ab_plus_ann"] = _gens_str(rhs)
@@ -145,13 +141,13 @@ def check_structure(inst):
         ann_colon = ideal_quotient(J, inst.a) if not J.is_zero() else Ideal(
             inst.ring, ()
         )
-        clause2 = radicals_equal(ann_colon, _plus(b, J))
+        clause2 = radicals_equal(ann_colon, ideal_sum(b, J))
         details["zero_link_colon"] = _gens_str(ann_colon)
         details["zero_link_radicals_agree"] = clause2
         ok = ok and clause2
 
-    aJ = _plus(inst.a, J)
-    IJ = _plus(inst.I, J)
+    aJ = ideal_sum(inst.a, J)
+    IJ = ideal_sum(inst.I, J)
     if is_monomial_ideal(aJ) and is_monomial_ideal(IJ):
         contained = _ass_contained(aJ, IJ, details)
         ok = ok and contained
@@ -174,8 +170,8 @@ def check_ass_containment(inst):
     """The embedding consequence alone: Ass(M/aM) within Ass(M/IM)."""
     _require_linked(inst)
     J = inst.module.defining_ideal
-    aJ = _plus(inst.a, J)
-    IJ = _plus(inst.I, J)
+    aJ = ideal_sum(inst.a, J)
+    IJ = ideal_sum(inst.I, J)
     _require_monomial(aJ, IJ)
     details = {}
     ok = _ass_contained(aJ, IJ, details)
@@ -197,7 +193,7 @@ def check_mv_bound(inst):
     applicable = False
     ok = True
 
-    ab = _plus(inst.a, b)
+    ab = ideal_sum(inst.a, b)
     cd_a = cd_oracle(inst.a, M)
     cd_b = cd_oracle(b, M)
     cd_ab = cd_oracle(ab, M)
@@ -234,7 +230,7 @@ def check_mv_bound(inst):
             applicable = True
             f = gb_a[0]
             lhs = cd_principal_cyclic(f, M)
-            quotient_module = CyclicModule(inst.ring, _plus(b, J))
+            quotient_module = CyclicModule(inst.ring, ideal_sum(b, J))
             rhs = cd_principal_cyclic(f, quotient_module)
             details["cd_a_on_M"] = lhs
             details["cd_a_on_M_mod_bM"] = rhs
@@ -261,7 +257,7 @@ def check_vanishing_pattern(inst):
     ok = True
     applicable = False
 
-    ab = _plus(inst.a, b)
+    ab = ideal_sum(inst.a, b)
     cd_ab = cd_oracle(ab, M)
     if cd_ab is not None and M.is_free() and _is_squarefree(inst.a):
         grade_ab = grade_via_ext(ab, M)
@@ -281,7 +277,7 @@ def check_vanishing_pattern(inst):
             applicable = True
             f = gb_a[0]
             lhs = cd_principal_cyclic(f, M)
-            rhs = cd_principal_cyclic(f, CyclicModule(inst.ring, _plus(b, J)))
+            rhs = cd_principal_cyclic(f, CyclicModule(inst.ring, ideal_sum(b, J)))
             details["cd_a_on_M"] = lhs
             details["cd_a_on_M_mod_bM"] = rhs
             ok = ok and lhs == rhs
@@ -300,7 +296,7 @@ def check_grade_formula(inst):
     if not is_geometrically_linked(inst.a, b, inst.I, inst.module, inst.witness):
         raise Inapplicable("a and b are not geometrically linked by I over M")
     t = inst.witness.length
-    grade_ab = grade_via_ext(_plus(inst.a, b), inst.module)
+    grade_ab = grade_via_ext(ideal_sum(inst.a, b), inst.module)
     details = {"t": t, "grade_a_plus_b": grade_ab, "expected": t + 1}
     return grade_ab == t + 1, details, {"b": _gens_str(b)}
 
@@ -322,7 +318,7 @@ def check_cd_formula(inst):
     M = inst.module
     ring = inst.ring
     J = M.defining_ideal
-    IJ = _plus(inst.I, J)
+    IJ = ideal_sum(inst.I, J)
     _require_monomial(IJ)
     ass = associated_primes_monomial(IJ)
     if not ass.is_unmixed():
@@ -349,14 +345,14 @@ def check_cd_formula(inst):
         details["branch"] = "excluded primes present"
         c = intersect_primes(ring, excluded)
         details["c"] = _gens_str(c)
-        rad_ok = radicals_equal(IJ, _plus(intersect_ideals(inst.a, c), J))
+        rad_ok = radicals_equal(IJ, ideal_sum(intersect_ideals(inst.a, c), J))
         details["radical_I_eq_a_cap_c"] = rad_ok
-        grade_ac = grade_via_ext(_plus(inst.a, c), M)
+        grade_ac = grade_via_ext(ideal_sum(inst.a, c), M)
         jump_ok = grade_ac >= grade_a + 1
         details["grade_a_plus_c"] = grade_ac
         details["grade_jump_holds"] = jump_ok
         contained = intersect_primes(ring, in_v_a)
-        e1_ok = radicals_equal(_plus(inst.a, J), contained)
+        e1_ok = radicals_equal(ideal_sum(inst.a, J), contained)
         details["sqrt_a_decomposition_holds"] = e1_ok
         ok = rad_ok and jump_ok and e1_ok
         if cd_a is not None:
@@ -386,7 +382,7 @@ def check_e3_identity(inst):
     ring = inst.ring
     if not is_geometrically_linked(inst.a, b, inst.I, M, inst.witness):
         raise Inapplicable("a and b are not geometrically linked by I over M")
-    IJ = _plus(inst.I, M.defining_ideal)
+    IJ = ideal_sum(inst.I, M.defining_ideal)
     _require_monomial(IJ)
     ass = associated_primes_monomial(IJ)
     if not ass.is_unmixed():
@@ -450,7 +446,7 @@ def check_aprime(inst, alternate_I=None, alternate_witness=None):
     M = inst.module
     ring = inst.ring
     J = M.defining_ideal
-    IJ = _plus(inst.I, J)
+    IJ = ideal_sum(inst.I, J)
     _require_monomial(IJ)
     try:
         _require_linked(inst)
@@ -472,7 +468,7 @@ def check_aprime(inst, alternate_I=None, alternate_witness=None):
     details["a_contained"] = contain
     ok = ok and contain
 
-    apJ = _plus(ap, J)
+    apJ = ideal_sum(ap, J)
     if ideal_equal(IJ, apJ):
         # the construction presumes the sequence was deepened so that I sits
         # strictly inside a'; nothing to test against this linking ideal
@@ -498,7 +494,7 @@ def check_aprime(inst, alternate_I=None, alternate_witness=None):
         for cand in _all_radical_monomial_ideals(ring):
             if not all(cand.contains(g) for g in inst.a.gens):
                 continue
-            candJ = _plus(cand, J)
+            candJ = ideal_sum(cand, J)
             if ideal_equal(IJ, candJ) or Ideal(
                 ring, cand.gens + J.gens
             ).is_unit():
@@ -511,7 +507,7 @@ def check_aprime(inst, alternate_I=None, alternate_witness=None):
         details["brute_force_minimality"] = minimal_ok
         ok = ok and minimal_ok
 
-    aJ = _plus(inst.a, J)
+    aJ = ideal_sum(inst.a, J)
     if linked and is_monomial_ideal(aJ) and ideal_equal(aJ, monomial_radical(aJ)):
         c4 = ideal_equal(aJ, apJ)
         details["sqrt_a_equals_aprime"] = c4
@@ -525,13 +521,13 @@ def check_c4(inst):
     _require_linked(inst)
     M = inst.module
     J = M.defining_ideal
-    IJ = _plus(inst.I, J)
+    IJ = ideal_sum(inst.I, J)
     _require_monomial(IJ)
     grade_a = grade_via_ext(inst.a, M)
     if grade_a != inst.witness.length:
         raise Inapplicable("witness is not a maximal regular sequence in a")
     ap = aprime_construct(inst.a, inst.I, M, inst.witness)
-    aJ = _plus(inst.a, J)
+    aJ = ideal_sum(inst.a, J)
     ok = radicals_equal(aJ, ap)
     details = {"aprime": _gens_str(ap), "sqrt_a_plus_ann": _gens_str(aJ)}
     return ok, details, None
@@ -542,7 +538,7 @@ def check_s_reflex(inst):
     exactly when a is fixed by the double colon."""
     M = inst.module
     J = M.defining_ideal
-    if ideal_equal(_plus(inst.I, J), _plus(inst.a, J)):
+    if ideal_equal(ideal_sum(inst.I, J), ideal_sum(inst.a, J)):
         raise Inapplicable("I equals a modulo J")
     cand = candidate_link(inst.a, inst.I, M, inst.witness)
     if Ideal(inst.ring, cand.gens + J.gens).is_unit() or cand.is_zero():
@@ -723,12 +719,8 @@ def run_check(check_id, *args, **kwargs):
     return Verdict(check=check_id, status=status, details=details, witness=witness, millis=millis)
 
 
-def run_suite(parsed, jobs=1):
-    """Run every check directive of a parsed instance file, in file order.
-
-    Directives are pure given their instance, so they may be fanned out; the
-    verdict list is always in directive order.
-    """
+def run_suite(parsed):
+    """Run every check directive of a parsed instance file, in file order."""
     tasks = []
     corpus = parsed.instances()
     for directive in parsed.directives:
@@ -742,13 +734,4 @@ def run_suite(parsed, jobs=1):
                 if alt is not None:
                     kwargs = {"alternate_I": alt[0], "alternate_witness": alt[1]}
             tasks.append((directive.check, (inst,), kwargs))
-
-    if jobs and jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(run_check, cid, *args, **kw) for cid, args, kw in tasks
-            ]
-            return [f.result() for f in futures]
     return [run_check(cid, *args, **kw) for cid, args, kw in tasks]

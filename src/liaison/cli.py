@@ -115,11 +115,11 @@ def _cmd_run(args):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     previous_caps = None
-    if args.degree_cap:
+    if args.degree_cap is not None:
         previous_caps = limits.set_caps(degree=args.degree_cap)
     try:
         parsed = parse_instance(text)
-        verdicts = run_suite(parsed, jobs=args.jobs)
+        verdicts = run_suite(parsed)
     except ParseError as exc:
         print(f"error: {args.file}: {exc}", file=sys.stderr)
         return 2
@@ -242,7 +242,6 @@ def build_parser():
     run_p.add_argument("file")
     run_p.add_argument("--format", choices=("json", "md"), default="md")
     run_p.add_argument("--out", default=None)
-    run_p.add_argument("--jobs", type=int, default=1)
     run_p.add_argument("--degree-cap", type=int, default=None)
 
     compute_p = sub.add_parser("compute", help="one-off computations")

@@ -9,10 +9,16 @@ field-agnostic.
 from fractions import Fraction
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The least strong pseudoprime to every base in _MR_BASES (it is divisible by
+# 1287836182261); below it the test is exact, so PrimeField accepts only
+# smaller moduli.
+MODULUS_BOUND = 3317044064679887385961981
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin; exact for every modulus this package accepts."""
+    """Miller-Rabin on the bases 2..37: exact for n < MODULUS_BOUND, the
+    moduli that PrimeField accepts; above that bound it can accept a
+    composite."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -85,6 +91,8 @@ class PrimeField:
     """GF(p) for prime p; coefficients are integer residues in [0, p)."""
 
     def __init__(self, p):
+        if p >= MODULUS_BOUND:
+            raise ValueError(f"modulus {p} too large: must be below {MODULUS_BOUND}")
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p

@@ -1,12 +1,18 @@
-"""Buchberger engine: normal forms, reduced Groebner bases, module bases,
-and syzygies via cofactor-tracked S-pair reductions.
+"""Buchberger engine over rows: normal forms, reduced Groebner bases of ideals
+and submodules, syzygies, and exact division.
 
-Pair selection is by minimal lcm total degree with ties broken by pair index,
-with the coprime-lcm (product) and chain criteria, so bases come out
-deterministic for a fixed ring and order.  The reduced basis of an ideal is
-cached write-once on the Ideal value; concurrent first computations are
-idempotent, so the race is benign.
+A row is a tuple of polynomials ordered position over term, lower index
+first: a polynomial is a rank-1 row and a vector of R^r a rank-r row.  One
+normal-form loop, one pair loop and one reduce pass serve every rank.  Pairs
+are selected by minimal lcm total degree with ties broken by pair index; the
+coprime-lcm (product) criterion applies in rank one and the chain criterion
+to same-position pairs in every rank, so bases come out deterministic for a
+fixed ring and order.  The reduced basis of an ideal is cached write-once on
+the Ideal value.
 """
+
+from bisect import insort
+from operator import add, le, sub as minus
 
 from .errors import RingMismatchError
 from .rings import Polynomial
@@ -16,19 +22,19 @@ from .rings import Polynomial
 
 def exp_divides(a, b):
     """Does x^a divide x^b?"""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def exp_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(minus, a, b))
 
 
 def exp_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def exp_coprime(a, b):
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+    return not any(map(min, a, b))
 
 
 def _require_one_ring(polys):
@@ -41,7 +47,197 @@ def _require_one_ring(polys):
     return ring
 
 
-# -- normal form --------------------------------------------------------------
+# -- the engine: rows ----------------------------------------------------------
+
+
+def _lead(row):
+    """(position, exponent tuple, coefficient) of the greatest term of a row,
+    or None for the zero row."""
+    for pos, p in enumerate(row):
+        if p.terms:
+            exps, coeff = p.terms[0]
+            return pos, exps, coeff
+    return None
+
+
+def _work(row):
+    """A row as one mutable term dict per position."""
+    return [dict(p.terms) for p in row]
+
+
+def _row(ring, work):
+    """The row of polynomials held in term dicts."""
+    return tuple(ring.poly(d.items()) for d in work)
+
+
+def _sub_term_mul(d, terms, shift, q, field):
+    """d -= q * x^shift * (the polynomial with these terms), on a term dict."""
+    zero, sub, mul = field.zero, field.sub, field.mul
+    for e2, c2 in terms:
+        e = tuple(map(add, e2, shift))
+        cur = sub(d.get(e, zero), mul(q, c2))
+        if cur == zero:
+            d.pop(e, None)
+        else:
+            d[e] = cur
+
+
+def _normal_form(ring, work, basis, shadows=None, shadow=None):
+    """Remainder row of the row held in work (one term dict per position,
+    consumed) on division by the basis rows, positions processed in order.
+
+    The greatest remaining term is divided by the first basis row whose lead
+    divides it, or else moves to the remainder.  With shadows (one companion
+    row per basis row), every step work -= t*basis[k] is mirrored as
+    shadow -= t*shadows[k] on the term dicts in shadow: that mirroring turns
+    zero reductions into syzygies and division steps into quotients.
+    """
+    field = ring.field
+    zero, one = field.zero, field.one
+    sub, mul, div = field.sub, field.mul, field.div
+    key = ring.key
+    divisors = [[] for _ in work]
+    for k, b in enumerate(basis):
+        lead = _lead(b)
+        if lead is not None:
+            pos, lm, lc = lead
+            divisors[pos].append((lm, lc, b[pos].terms[1:], k))
+    rem = []
+    for pos, wp in enumerate(work):
+        candidates = divisors[pos]
+        later = range(pos + 1, len(work))
+        r = {}
+        while wp:
+            m = max(wp, key=key)
+            c = wp.pop(m)
+            for lm, lc, tail, k in candidates:
+                if all(map(le, lm, m)):
+                    q = c if lc == one else div(c, lc)
+                    shift = tuple(map(minus, m, lm))
+                    for e2, c2 in tail:
+                        e = tuple(map(add, e2, shift))
+                        cur = sub(wp.get(e, zero), mul(q, c2))
+                        if cur == zero:
+                            wp.pop(e, None)
+                        else:
+                            wp[e] = cur
+                    for p in later:
+                        _sub_term_mul(work[p], basis[k][p].terms, shift, q, field)
+                    if shadows is not None:
+                        for d, s in zip(shadow, shadows[k]):
+                            _sub_term_mul(d, s.terms, shift, q, field)
+                    break
+            else:
+                r[m] = c
+        rem.append(ring.poly(r.items()))
+    return tuple(rem)
+
+
+def _difference(field, a, b, ta, tb):
+    """Term dicts of x^ta * a - x^tb * b, position by position."""
+    work = []
+    for pa, pb in zip(a, b):
+        d = {tuple(map(add, e, ta)): c for e, c in pa.terms}
+        _sub_term_mul(d, pb.terms, tb, field.one, field)
+        work.append(d)
+    return work
+
+
+def _reduce_pair(ring, G, X, i, j):
+    """Remainder of the S-row of the monic rows G[i], G[j] (leads at one
+    position) and, when shadows X are tracked, the S-row of the shadows
+    reduced alongside, as term dicts (else None)."""
+    _, lmi, _ = _lead(G[i])
+    _, lmj, _ = _lead(G[j])
+    lcm = exp_lcm(lmi, lmj)
+    ti, tj = exp_sub(lcm, lmi), exp_sub(lcm, lmj)
+    comp = None if X is None else _difference(ring.field, X[i], X[j], ti, tj)
+    rem = _normal_form(ring, _difference(ring.field, G[i], G[j], ti, tj), G, X, comp)
+    return rem, comp
+
+
+def buchberger(ring, rows, shadows=None):
+    """A (not yet reduced) Groebner basis, as monic rows, of the submodule
+    generated by rows: nonzero rows of one ring and rank.
+
+    With shadows (one row per input), every basis row carries the same
+    combination of shadows as it is of the inputs; returns (basis, shadow
+    rows), the latter None when not tracked.
+    """
+    rank = len(rows[0])
+    field = ring.field
+    G, leads, pending, queue = [], [], set(), []
+    X = None if shadows is None else []
+
+    def append(row, shadow):
+        pos, lm, lc = _lead(row)
+        if lc != field.one:
+            inv = field.inv(lc)
+            row = tuple(p.scale(inv) for p in row)
+            if X is not None:
+                shadow = tuple(p.scale(inv) for p in shadow)
+        new = len(G)
+        for k, (kpos, klm) in enumerate(leads):
+            if kpos == pos:
+                lcm = exp_lcm(klm, lm)
+                insort(queue, (sum(lcm), k, new, lcm))
+                pending.add((k, new))
+        G.append(row)
+        leads.append((pos, lm))
+        if X is not None:
+            X.append(shadow)
+
+    for idx, row in enumerate(rows):
+        append(row, None if X is None else shadows[idx])
+    while queue:
+        _, i, j, lcm = queue.pop(0)
+        pending.remove((i, j))
+        pos, lmi = leads[i]
+        if rank == 1 and exp_coprime(lmi, leads[j][1]):
+            continue  # product criterion
+        if any(
+            kpos == pos
+            and k != i
+            and k != j
+            and exp_divides(lmk, lcm)
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k, (kpos, lmk) in enumerate(leads)
+        ):
+            continue  # chain criterion: both other pairs treated
+        rem, comp = _reduce_pair(ring, G, X, i, j)
+        if _lead(rem) is not None:
+            append(rem, None if comp is None else _row(ring, comp))
+    return G, X
+
+
+def _reduce(ring, G):
+    """The reduced basis of the submodule with Groebner basis G (monic rows):
+    minimal, auto-reduced, sorted by decreasing lead, position over term."""
+    leads = [_lead(g) for g in G]
+    keep = [
+        g
+        for i, (g, (pos, lm, _)) in enumerate(zip(G, leads))
+        if not any(
+            hpos == pos and exp_divides(hlm, lm) and (hlm != lm or j < i)
+            for j, (hpos, hlm, _) in enumerate(leads)
+            if j != i
+        )
+    ]
+    # The leads stay fixed, so one pass reduces every tail; the remainder of
+    # a monic row keeps its unreducible lead and so stays monic.
+    for i, g in enumerate(keep):
+        keep[i] = _normal_form(ring, _work(g), keep[:i] + keep[i + 1 :])
+
+    def key(row):
+        pos, lm, _ = _lead(row)
+        return -pos, ring.key(lm)
+
+    keep.sort(key=key, reverse=True)
+    return keep
+
+
+# -- ideals ----------------------------------------------------------------------
 
 
 def reduce_normal_form(f, basis):
@@ -54,92 +250,19 @@ def reduce_normal_form(f, basis):
     if f.is_zero() or not basis:
         return f
     _require_one_ring([f] + basis)
-    ring = f.ring
-    field = ring.field
-    zero = field.zero
-    key = ring.key
-    leads = [(b.terms[0][0], b.terms[0][1], b) for b in basis]
-
-    work = dict(f.terms)
-    rem = {}
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        for lm, lc, b in leads:
-            if exp_divides(lm, m):
-                q = field.div(c, lc)
-                shift = exp_sub(m, lm)
-                for e2, c2 in b.terms[1:]:
-                    e = tuple(x + y for x, y in zip(e2, shift))
-                    cur = field.sub(work.get(e, zero), field.mul(q, c2))
-                    if cur == zero:
-                        work.pop(e, None)
-                    else:
-                        work[e] = cur
-                break
-        else:
-            rem[m] = c
-    return ring.poly(rem.items())
+    return _normal_form(f.ring, _work((f,)), [(b,) for b in basis])[0]
 
 
-def _s_polynomial(f, g):
-    lf, cf = f.terms[0]
-    lg, cg = g.terms[0]
-    lcm = exp_lcm(lf, lg)
-    field = f.ring.field
-    a = f.term_mul(exp_sub(lcm, lf), field.inv(cf))
-    b = g.term_mul(exp_sub(lcm, lg), field.inv(cg))
-    return a - b
-
-
-# -- Buchberger ---------------------------------------------------------------
-
-
-def buchberger(gens):
-    """A (not yet reduced) Groebner basis containing the nonzero input gens."""
-    G = [g.monic() for g in gens if not g.is_zero()]
-    if not G:
-        return []
-    _require_one_ring(G)
-
-    pending = set()
-    for i in range(len(G)):
-        for j in range(i):
-            pending.add((j, i))
-
-    def pair_weight(pair):
-        i, j = pair
-        lcm = exp_lcm(G[i].terms[0][0], G[j].terms[0][0])
-        return (sum(lcm), i, j)
-
-    while pending:
-        i, j = min(pending, key=pair_weight)
-        pending.remove((i, j))
-        lmi = G[i].terms[0][0]
-        lmj = G[j].terms[0][0]
-        if exp_coprime(lmi, lmj):
-            continue  # product criterion
-        lcm = exp_lcm(lmi, lmj)
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j):
-                continue
-            if not exp_divides(G[k].terms[0][0], lcm):
-                continue
-            pik = (min(i, k), max(i, k))
-            pjk = (min(j, k), max(j, k))
-            if pik not in pending and pjk not in pending:
-                skip = True  # chain criterion: both companion pairs treated
-                break
-        if skip:
-            continue
-        r = reduce_normal_form(_s_polynomial(G[i], G[j]), G)
-        if not r.is_zero():
-            G.append(r.monic())
-            new = len(G) - 1
-            for k in range(new):
-                pending.add((k, new))
-    return G
+def exact_divide(f, g):
+    """The quotient f/g when g divides f exactly; raises ValueError otherwise."""
+    if g.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    ring = _require_one_ring([f, g])
+    quotient = [{}]
+    rem = _normal_form(ring, _work((f,)), [(g,)], [(-ring.one,)], quotient)
+    if rem[0]:
+        raise ValueError("polynomial division is not exact")
+    return ring.poly(quotient[0].items())
 
 
 def reduced_groebner_basis(gens, ring=None):
@@ -148,40 +271,11 @@ def reduced_groebner_basis(gens, ring=None):
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return ()
+    _require_one_ring(gens)
     if ring is None:
         ring = gens[0].ring
-    G = buchberger(gens)
-    if any(g.is_constant() for g in G):
-        return (ring.one,)
-
-    # minimal: drop any element whose leading monomial another one divides
-    keep = []
-    for i, g in enumerate(G):
-        lm = g.terms[0][0]
-        redundant = False
-        for j, h in enumerate(G):
-            if i == j:
-                continue
-            lmh = h.terms[0][0]
-            if exp_divides(lmh, lm) and (lmh != lm or j < i):
-                redundant = True
-                break
-        if not redundant:
-            keep.append(g)
-
-    # auto-reduce tails to a fixed point
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(keep)):
-            others = keep[:i] + keep[i + 1 :]
-            r = reduce_normal_form(keep[i], others).monic()
-            if r != keep[i]:
-                keep[i] = r
-                changed = True
-
-    keep.sort(key=lambda g: ring.key(g.terms[0][0]), reverse=True)
-    return tuple(keep)
+    G, _ = buchberger(ring, [(g,) for g in gens])
+    return tuple(row[0] for row in _reduce(ring, G))
 
 
 class Ideal:
@@ -268,50 +362,6 @@ class FreeModuleElement:
     def is_zero(self):
         return all(c.is_zero() for c in self.coords)
 
-    def lead(self):
-        """(position, exponent tuple, coefficient) of the greatest term."""
-        for pos, c in enumerate(self.coords):
-            if not c.is_zero():
-                exps, coeff = c.terms[0]
-                return pos, exps, coeff
-        raise ValueError("the zero vector has no leading term")
-
-    def __add__(self, other):
-        self._check(other)
-        return FreeModuleElement(
-            self.ring, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        return FreeModuleElement(
-            self.ring, tuple(a - b for a, b in zip(self.coords, other.coords))
-        )
-
-    def __neg__(self):
-        return FreeModuleElement(self.ring, tuple(-a for a in self.coords))
-
-    def term_mul(self, exps, coeff):
-        return FreeModuleElement(
-            self.ring, tuple(a.term_mul(exps, coeff) for a in self.coords)
-        )
-
-    def poly_mul(self, p):
-        return FreeModuleElement(self.ring, tuple(a * p for a in self.coords))
-
-    def scale(self, coeff):
-        return FreeModuleElement(self.ring, tuple(a.scale(coeff) for a in self.coords))
-
-    def monic(self):
-        _, _, coeff = self.lead()
-        if coeff == self.ring.field.one:
-            return self
-        return self.scale(self.ring.field.inv(coeff))
-
-    def _check(self, other):
-        if self.ring != other.ring or len(self.coords) != len(other.coords):
-            raise RingMismatchError("free-module elements are incompatible")
-
     def __eq__(self, other):
         return (
             isinstance(other, FreeModuleElement)
@@ -332,220 +382,69 @@ def unit_vector(ring, rank, pos, poly=None):
     return FreeModuleElement(ring, coords)
 
 
-def _vec_sort_key(ring):
-    def key(v):
-        pos, exps, _ = v.lead()
-        return (-pos, ring.key(exps))
-
-    return key
-
-
-def module_normal_form(v, basis, shadows=None, shadow=None):
-    """Normal form of v against basis under position-over-term order.
-
-    If shadows is given (one companion per basis element), every reduction
-    step t*basis[k] is mirrored as shadow -= t*shadows[k]; the final shadow is
-    returned alongside the remainder.  That mirroring is what turns zero
-    reductions into syzygies.
-    """
-    basis = list(basis)
-    work = v
-    rem = [v.ring.zero] * v.rank
-    field = v.ring.field
-    while not work.is_zero():
-        pos, m, c = work.lead()
-        reduced = False
-        for k, b in enumerate(basis):
-            bpos, bm, bc = b.lead()
-            if bpos == pos and exp_divides(bm, m):
-                q = field.div(c, bc)
-                shift = exp_sub(m, bm)
-                work = work - b.term_mul(shift, q)
-                if shadows is not None:
-                    shadow = shadow - shadows[k].term_mul(shift, q)
-                reduced = True
-                break
-        if not reduced:
-            rem[pos] = rem[pos] + v.ring.monomial(m, c)
-            work = work - unit_vector(v.ring, v.rank, pos, v.ring.monomial(m, c))
-    result = FreeModuleElement(v.ring, rem)
-    if shadows is not None:
-        return result, shadow
-    return result
-
-
-def _module_s_pair(f, g):
-    pf, mf, cf = f.lead()
-    pg, mg, cg = g.lead()
-    assert pf == pg
-    lcm = exp_lcm(mf, mg)
-    field = f.ring.field
-    return (
-        (exp_sub(lcm, mf), field.inv(cf)),
-        (exp_sub(lcm, mg), field.inv(cg)),
-    )
-
-
-def _module_buchberger(vecs, track=False):
-    """Groebner basis of the submodule generated by vecs (all nonzero).
-
-    With track=True, also returns cofactor vectors expressing each basis
-    element over the inputs.  The product criterion is only valid in rank one,
-    where S-pairs are genuine polynomial S-pairs.
-    """
-    ring = vecs[0].ring
-    rank = vecs[0].rank
-    G = []
-    X = []
-    for idx, v in enumerate(vecs):
-        m = v.monic()
-        G.append(m)
-        if track:
-            _, _, lc = v.lead()
-            X.append(unit_vector(ring, len(vecs), idx, ring.constant(ring.field.inv(lc))))
-
-    pending = set()
-    for i in range(len(G)):
-        for j in range(i):
-            if G[i].lead()[0] == G[j].lead()[0]:
-                pending.add((j, i))
-
-    def weight(pair):
-        i, j = pair
-        lcm = exp_lcm(G[i].lead()[1], G[j].lead()[1])
-        return (sum(lcm), i, j)
-
-    while pending:
-        i, j = min(pending, key=weight)
-        pending.remove((i, j))
-        if rank == 1 and exp_coprime(G[i].lead()[1], G[j].lead()[1]):
-            continue
-        (si, ci), (sj, cj) = _module_s_pair(G[i], G[j])
-        s = G[i].term_mul(si, ci) - G[j].term_mul(sj, cj)
-        if track:
-            comp = X[i].term_mul(si, ci) - X[j].term_mul(sj, cj)
-            r, comp = module_normal_form(s, G, X, comp)
+def _rows(gens):
+    """(ring, rows) of polynomials or free-module elements of one ring and
+    rank; ring is None when gens is empty."""
+    ring, rank, rows = None, None, []
+    for g in gens:
+        if isinstance(g, FreeModuleElement):
+            row = g.coords
+        elif isinstance(g, Polynomial):
+            row = (g,)
         else:
-            r = module_normal_form(s, G)
-        if not r.is_zero():
-            _, _, lc = r.lead()
-            inv = ring.field.inv(lc)
-            G.append(r.scale(inv))
-            if track:
-                X.append(comp.scale(inv))
-            new = len(G) - 1
-            for k in range(new):
-                if G[k].lead()[0] == G[new].lead()[0]:
-                    pending.add((k, new))
-    if track:
-        return G, X
-    return G, None
+            raise TypeError("expected polynomials or free-module elements")
+        if ring is None:
+            ring, rank = g.ring, len(row)
+        elif len(row) != rank:
+            raise ValueError("rank mismatch between module generators")
+        elif g.ring != ring:
+            raise RingMismatchError("module generators from different rings")
+        rows.append(row)
+    return ring, rows
+
+
+def module_normal_form(v, basis):
+    """Normal form of v against basis under position-over-term order."""
+    ring, rows = _rows([v, *basis])
+    return FreeModuleElement(ring, _normal_form(ring, _work(rows[0]), rows[1:]))
 
 
 def module_groebner_basis(gens):
     """Reduced Groebner basis of the submodule of R^r generated by gens."""
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
+    ring, rows = _rows(gens)
+    rows = [row for row in rows if _lead(row) is not None]
+    if not rows:
         return []
-    ring = gens[0].ring
-    rank = gens[0].rank
-    for g in gens:
-        if g.rank != rank:
-            raise ValueError("rank mismatch between module generators")
-        if g.ring != ring:
-            raise RingMismatchError("module generators from different rings")
-    G, _ = _module_buchberger(gens)
-
-    keep = []
-    for i, g in enumerate(G):
-        pos, lm, _ = g.lead()
-        redundant = False
-        for j, h in enumerate(G):
-            if i == j:
-                continue
-            hpos, hlm, _ = h.lead()
-            if hpos == pos and exp_divides(hlm, lm) and (hlm != lm or j < i):
-                redundant = True
-                break
-        if not redundant:
-            keep.append(g)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(keep)):
-            others = keep[:i] + keep[i + 1 :]
-            r = module_normal_form(keep[i], others)
-            r = r.monic()
-            if r != keep[i]:
-                keep[i] = r
-                changed = True
-    keep.sort(key=_vec_sort_key(ring), reverse=True)
-    return keep
-
-
-def module_contains(v, basis_gb):
-    """Submodule membership against a precomputed module Groebner basis."""
-    if not basis_gb:
-        return v.is_zero()
-    return module_normal_form(v, basis_gb).is_zero()
-
-
-def _as_vectors(gens):
-    vecs = []
-    for g in gens:
-        if isinstance(g, FreeModuleElement):
-            vecs.append(g)
-        elif isinstance(g, Polynomial):
-            vecs.append(FreeModuleElement(g.ring, (g,)))
-        else:
-            raise TypeError("syzygy input must be polynomials or module elements")
-    return vecs
+    G, _ = buchberger(ring, rows)
+    return [FreeModuleElement(ring, row) for row in _reduce(ring, G)]
 
 
 def syzygy_module(gens):
     """Generators of the full syzygy module of gens.
 
-    Runs Buchberger with cofactor tracking, then reduces the S-pair of every
-    same-position pair of the finished basis to zero; the tracked cofactors of
-    those zero reductions, mapped back through the basis cofactors, generate
-    all relations.  Zero input generators contribute their unit syzygies.
+    Runs Buchberger with the unit vectors as shadows, then reduces the
+    S-row of every same-position pair of the finished basis to zero; the
+    shadows of those zero reductions generate all relations.  Zero input
+    generators contribute their unit syzygies.
     """
-    vecs = _as_vectors(gens)
-    if not vecs:
-        return []
-    ring = vecs[0].ring
-    k = len(vecs)
-    syzygies = []
-    nonzero = []
-    index_of = []
-    for idx, v in enumerate(vecs):
-        if v.is_zero():
-            syzygies.append(unit_vector(ring, k, idx))
-        else:
-            nonzero.append(v)
-            index_of.append(idx)
+    ring, rows = _rows(gens)
+    units = [unit_vector(ring, len(rows), idx) for idx in range(len(rows))]
+    syzygies = [units[idx] for idx, row in enumerate(rows) if _lead(row) is None]
+    nonzero = [idx for idx, row in enumerate(rows) if _lead(row) is not None]
     if not nonzero:
         return syzygies
-
-    G, Xlocal = _module_buchberger(nonzero, track=True)
-    # re-embed cofactors over the original index set
-    X = []
-    for cof in Xlocal:
-        coords = [ring.zero] * k
-        for local, orig in enumerate(index_of):
-            coords[orig] = cof.coords[local]
-        X.append(FreeModuleElement(ring, coords))
-
+    G, X = buchberger(
+        ring, [rows[i] for i in nonzero], [units[i].coords for i in nonzero]
+    )
+    positions = [_lead(g)[0] for g in G]
     for j in range(len(G)):
         for i in range(j):
-            if G[i].lead()[0] != G[j].lead()[0]:
+            if positions[i] != positions[j]:
                 continue
-            (si, ci), (sj, cj) = _module_s_pair(G[i], G[j])
-            s = G[i].term_mul(si, ci) - G[j].term_mul(sj, cj)
-            comp = X[i].term_mul(si, ci) - X[j].term_mul(sj, cj)
-            r, comp = module_normal_form(s, G, X, comp)
-            if not r.is_zero():
+            rem, comp = _reduce_pair(ring, G, X, i, j)
+            if _lead(rem) is not None:
                 raise AssertionError("S-pair of a completed basis did not vanish")
+            comp = FreeModuleElement(ring, _row(ring, comp))
             if not comp.is_zero():
                 syzygies.append(comp)
     return syzygies

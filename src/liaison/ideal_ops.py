@@ -7,7 +7,7 @@ inverted-element trick with the same auxiliary variable.
 """
 
 from .errors import RingMismatchError
-from .groebner import Ideal, exp_divides, exp_sub, reduced_groebner_basis
+from .groebner import Ideal, exact_divide, reduced_groebner_basis
 from .rings import PolyRing
 
 _AUX = "_t"  # not a legal identifier in the grammar, so it can never collide
@@ -67,34 +67,6 @@ def intersect_ideals(I, J):
         if g.terms[0][0][-1] == 0:
             kept.append(_project(g, ring))
     return Ideal(ring, tuple(kept))
-
-
-def exact_divide(f, g):
-    """The quotient f/g when g divides f exactly; raises otherwise."""
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    ring = f.ring
-    field = ring.field
-    lg, cg = g.terms[0]
-    work = dict(f.terms)
-    quot = {}
-    key = ring.key
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        if not exp_divides(lg, m):
-            raise ValueError("polynomial division is not exact")
-        q = field.div(c, cg)
-        shift = exp_sub(m, lg)
-        quot[shift] = q
-        for e2, c2 in g.terms[1:]:
-            e = tuple(x + y for x, y in zip(e2, shift))
-            cur = field.sub(work.get(e, field.zero), field.mul(q, c2))
-            if cur == field.zero:
-                work.pop(e, None)
-            else:
-                work[e] = cur
-    return ring.poly(quot.items())
 
 
 def _quotient_by_poly(I, f):

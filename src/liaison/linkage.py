@@ -73,10 +73,6 @@ class RegularSequenceWitness:
 EMPTY_WITNESS = RegularSequenceWitness(())
 
 
-def _plus(I, J):
-    return ideal_sum(I, J)
-
-
 def is_regular_sequence(xs, M):
     """Is xs an M-regular sequence, tested in the given order?
 
@@ -122,7 +118,7 @@ def module_colon(I, a, M):
     if a.is_zero():
         raise ValueError("module colon by the zero ideal")
     J = M.defining_ideal
-    return ideal_quotient(_plus(I, J), a)
+    return ideal_quotient(ideal_sum(I, J), a)
 
 
 def _check_link_preconditions(a, b, I, M, witness):
@@ -135,7 +131,7 @@ def _check_link_preconditions(a, b, I, M, witness):
         if Ideal(ring, ideal.gens + J.gens).is_unit():
             raise WitnessError(f"{name}M = M: {name}+J is the unit ideal")
     for target in (a, b):
-        shifted = _plus(target, J)
+        shifted = ideal_sum(target, J)
         if not all(shifted.contains(g) for g in I.gens):
             raise WitnessError("I is not contained in a and b modulo J")
 
@@ -144,9 +140,9 @@ def is_linked(a, b, I, M, witness):
     """a ~ b by I over M: IM :_M a = bM and IM :_M b = aM."""
     _check_link_preconditions(a, b, I, M, witness)
     J = M.defining_ideal
-    IJ = _plus(I, J)
-    return ideal_equal(ideal_quotient(IJ, a), _plus(b, J)) and ideal_equal(
-        ideal_quotient(IJ, b), _plus(a, J)
+    IJ = ideal_sum(I, J)
+    return ideal_equal(ideal_quotient(IJ, a), ideal_sum(b, J)) and ideal_equal(
+        ideal_quotient(IJ, b), ideal_sum(a, J)
     )
 
 
@@ -155,15 +151,15 @@ def is_geometrically_linked(a, b, I, M, witness):
     if not is_linked(a, b, I, M, witness):
         return False
     J = M.defining_ideal
-    lhs = intersect_ideals(_plus(a, J), _plus(b, J))
-    return ideal_equal(lhs, _plus(I, J))
+    lhs = intersect_ideals(ideal_sum(a, J), ideal_sum(b, J))
+    return ideal_equal(lhs, ideal_sum(I, J))
 
 
 def candidate_link(a, I, M, witness):
     """b := IM :_M a, the only possible linkage partner of a by I over M."""
     validate_witness(witness, I, M)
     J = M.defining_ideal
-    shifted = _plus(a, J)
+    shifted = ideal_sum(a, J)
     if not all(shifted.contains(g) for g in I.gens):
         raise WitnessError("I is not contained in a modulo J")
     return module_colon(I, a, M)
@@ -177,8 +173,8 @@ def s_membership(a, I, M, witness):
     """
     validate_witness(witness, I, M)
     J = M.defining_ideal
-    IJ = _plus(I, J)
-    aJ = _plus(a, J)
+    IJ = ideal_sum(I, J)
+    aJ = ideal_sum(a, J)
     if ideal_equal(IJ, aJ):
         raise ValueError("s-membership needs I strictly inside a")
     inner = ideal_quotient(IJ, a)
@@ -190,7 +186,7 @@ def aprime_construct(a, I, M, witness):
     of the associated primes of M/IM that contain a."""
     validate_witness(witness, I, M)
     ring = M.ring
-    IJ = _plus(I, M.defining_ideal)
+    IJ = ideal_sum(I, M.defining_ideal)
     if not is_monomial_ideal(IJ):
         raise ValueError("associated primes need monomial I + J")
     ass = associated_primes_monomial(IJ)

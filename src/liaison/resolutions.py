@@ -74,12 +74,11 @@ class FreeResolution:
 def _apply_columns(cols, vec):
     """Image of vec under the map whose columns are cols."""
     ring = vec.ring
-    out_rank = cols[0].rank if cols else 0
-    acc = FreeModuleElement(ring, tuple(ring.zero for _ in range(out_rank)))
+    acc = [ring.zero] * (cols[0].rank if cols else 0)
     for coeff_poly, col in zip(vec.coords, cols):
         if not coeff_poly.is_zero():
-            acc = acc + col.poly_mul(coeff_poly)
-    return acc
+            acc = [a + coeff_poly * b for a, b in zip(acc, col.coords)]
+    return FreeModuleElement(ring, acc)
 
 
 def _prune_units(prev_cols, cols, ring):

@@ -245,17 +245,6 @@ class Polynomial:
             n = base_needed
         return result
 
-    def term_mul(self, exps, coeff):
-        """Multiply by the single term coeff * x^exps (fast path)."""
-        field = self.ring.field
-        terms = tuple(
-            (tuple(a + b for a, b in zip(e, exps)), field.mul(c, coeff))
-            for e, c in self.terms
-        )
-        if terms:
-            limits.check_terms(len(terms), max(sum(e) for e, _ in terms))
-        return Polynomial(self.ring, terms)
-
     def scale(self, coeff):
         field = self.ring.field
         if coeff == field.zero:

@@ -83,6 +83,16 @@ def test_degree_cap_exit_three(capsys):
     assert get_caps()[0] == DEFAULT_DEGREE_CAP  # restored afterwards
 
 
+def test_degree_cap_zero_exit_two(capsys):
+    code = main(["run", str(CORPUS / "selflink.link"), "--degree-cap", "0"])
+    assert code == 2
+    assert "degree cap must be positive" in capsys.readouterr().err
+
+
+def test_jobs_flag_removed(capsys):
+    assert main(["run", str(CORPUS / "selflink.link"), "--jobs", "2"]) == 2
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code = main(

@@ -1,0 +1,133 @@
+"""Differential and property tests for the row engine in groebner.py: reduced
+bases against sympy, module bases under shuffled generators, syzygies of
+rank-2 vectors, and exact division."""
+
+from fractions import Fraction
+
+import pytest
+
+from conftest import random_polynomial, seeded
+from liaison.fields import GF, QQ
+from liaison.groebner import (
+    FreeModuleElement,
+    exact_divide,
+    module_groebner_basis,
+    reduced_groebner_basis,
+    syzygy_module,
+)
+from liaison.rings import PolyRing
+
+FIELDS_AND_ORDERS = [(QQ, "lex"), (QQ, "grevlex"), (GF(7), "lex"), (GF(7), "grevlex")]
+
+
+def _ring(field, order):
+    return PolyRing(field, ["x", "y", "z"], order)
+
+
+def _nonconstant_polynomial(rng, ring):
+    """Up to three terms of degree 1..3 with coefficients in [-3, 3]: the
+    ideals these generate are proper, so their bases are not just (1)."""
+    items = []
+    for _ in range(rng.randrange(1, 4)):
+        exps = [0] * ring.nvars
+        for _ in range(rng.randrange(1, 4)):
+            exps[rng.randrange(ring.nvars)] += 1
+        items.append((exps, ring.field.of(rng.randrange(-3, 4))))
+    p = ring.poly(items)
+    return p if p else ring.gen(0)
+
+
+def _to_sympy(sympy, p, symbols, modulus):
+    expr = sympy.Integer(0)
+    for exps, coeff in p.terms:
+        if modulus:
+            term = sympy.Integer(coeff)
+        else:
+            term = sympy.Rational(coeff.numerator, coeff.denominator)
+        for s, e in zip(symbols, exps):
+            term *= s**e
+        expr += term
+    return expr
+
+
+def _from_sympy(poly, ring):
+    items = []
+    for exps, coeff in poly.terms():
+        if ring.field.characteristic:
+            items.append((exps, ring.field.of(int(coeff))))
+        else:
+            items.append((exps, Fraction(int(coeff.p), int(coeff.q))))
+    return ring.poly(items).monic()
+
+
+@pytest.mark.parametrize("field,order", FIELDS_AND_ORDERS)
+def test_reduced_basis_matches_sympy(field, order):
+    sympy = pytest.importorskip("sympy")
+    ring = _ring(field, order)
+    symbols = sympy.symbols("x y z")
+    modulus = field.characteristic or None
+    rng = seeded(31)
+    for _ in range(12):
+        gens = [_nonconstant_polynomial(rng, ring) for _ in range(rng.randrange(2, 4))]
+        ours = {g.monic() for g in reduced_groebner_basis(gens)}
+        options = {"order": order}
+        if modulus:
+            options["modulus"] = modulus
+        exprs = [_to_sympy(sympy, g, symbols, modulus) for g in gens]
+        basis = sympy.groebner(exprs, *symbols, **options)
+        theirs = {_from_sympy(p, ring) for p in basis.polys}
+        assert ours == theirs, gens
+
+
+def _random_vector(rng, ring):
+    coords = [
+        random_polynomial(rng, ring, max_degree=2, max_terms=3, zero_ok=True)
+        for _ in range(2)
+    ]
+    return FreeModuleElement(ring, coords)
+
+
+@pytest.mark.parametrize("field,order", FIELDS_AND_ORDERS)
+def test_module_basis_independent_of_generator_order(field, order):
+    ring = _ring(field, order)
+    rng = seeded(47)
+    for _ in range(8):
+        gens = [_random_vector(rng, ring) for _ in range(rng.randrange(2, 4))]
+        reference = module_groebner_basis(gens)
+        shuffled = list(gens)
+        rng.shuffle(shuffled)
+        assert module_groebner_basis(shuffled) == reference
+        assert module_groebner_basis(list(reversed(gens))) == reference
+
+
+@pytest.mark.parametrize("field,order", FIELDS_AND_ORDERS)
+def test_rank_two_syzygies_are_exact_relations(field, order):
+    ring = _ring(field, order)
+    rng = seeded(53)
+    for _ in range(6):
+        gens = [_random_vector(rng, ring) for _ in range(3)]
+        for syz in syzygy_module(gens):
+            assert syz.rank == len(gens)
+            for pos in range(2):
+                total = ring.zero
+                for coeff, g in zip(syz.coords, gens):
+                    total = total + coeff * g.coords[pos]
+                assert total.is_zero()
+
+
+@pytest.mark.parametrize("field,order", FIELDS_AND_ORDERS)
+def test_exact_divide(field, order):
+    ring = _ring(field, order)
+    x = ring.gen(0)
+    rng = seeded(59)
+    for _ in range(15):
+        f = random_polynomial(rng, ring)
+        g = random_polynomial(rng, ring)
+        assert exact_divide(f * g, g) == f
+        if not g.is_constant():
+            with pytest.raises(ValueError):
+                exact_divide(f * g + ring.one, g)
+    with pytest.raises(ValueError):
+        exact_divide(x + ring.one, x)
+    with pytest.raises(ZeroDivisionError):
+        exact_divide(x, ring.zero)

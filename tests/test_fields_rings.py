@@ -27,6 +27,10 @@ def test_prime_field_arithmetic():
         F.frac(1, 7)
     with pytest.raises(ValueError):
         GF(6)
+    # the least strong pseudoprime to every Miller-Rabin base 2..37
+    assert 3317044064679887385961981 % 1287836182261 == 0
+    with pytest.raises(ValueError):
+        GF(3317044064679887385961981)
 
 
 def test_ring_construction_errors():

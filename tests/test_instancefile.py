@@ -52,6 +52,10 @@ def test_nonprime_modulus_rejected():
     with pytest.raises(ParseError) as err:
         parse_instance("ring R = FP(6)[x] grevlex;\n")
     assert "not prime" in str(err.value)
+    # composite, yet a strong probable prime to every Miller-Rabin base 2..37
+    with pytest.raises(ParseError) as err:
+        parse_instance("ring R = FP(3317044064679887385961981)[x] grevlex;\n")
+    assert "must be below" in str(err.value)
 
 
 def test_unknown_check_rejected():
