@@ -4,9 +4,10 @@ dimension, and the cohomological-dimension oracle for monomial ideals.
 
 The cd oracle rests on two standard facts about a squarefree monomial ideal a
 over a polynomial ring: cd(a, R) equals pd(R/a), and H^i_a(R) is nonzero
-exactly when Ext^i(R/a, R) is.  Betti numbers are computed over the ring's
-own coefficient field, so they can legitimately depend on the characteristic;
-reports record it.
+exactly when Ext^i(R/a, R) is.  Hochster's formula reads pd(R/a) off the
+vertex restrictions of the Stanley-Reisner complex to the lcm lattice of a.
+Betti numbers are computed over the ring's own coefficient field, so they can
+legitimately depend on the characteristic; reports record it.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from .errors import ResourceLimitError
 from .groebner import Ideal, exp_divides
 from .ideal_ops import intersect_ideals
 
-MAX_COMPLEX_VARS = 12  # 2^n restrictions; guard against runaway enumeration
+MAX_COMPLEX_VARS = 12  # stanley_reisner enumerates all 2^n vertex subsets
 
 
 # -- monomial bookkeeping ------------------------------------------------------
@@ -319,18 +320,25 @@ def reduced_homology_dims(faces, field):
         return _field_rank(rows, field)
 
     dims = {}
+    rank_in = 0  # rank of C_d -> C_{d-1}, carried over from the step before
     for d in range(-1, top + 1):
-        n_d = len(by_dim.get(d, []))
-        h = n_d - boundary_rank(d) - boundary_rank(d + 1)
+        rank_out = boundary_rank(d + 1)
+        h = len(by_dim.get(d, [])) - rank_in - rank_out
         if h:
             dims[d] = h
+        rank_in = rank_out
     return dims
 
 
 def hochster_pd(I):
-    """pd(R/I) for squarefree monomial I, by reduced cohomology of all vertex
-    restrictions of the Stanley-Reisner complex (ranks over the ring's own
-    coefficient field)."""
+    """pd(R/I) for squarefree monomial I, by reduced cohomology of the vertex
+    restrictions of the Stanley-Reisner complex to the lcm lattice of I
+    (ranks over the ring's own coefficient field).
+
+    The lcm lattice is the set of unions of minimal generator supports.  Any
+    other vertex set s holds a vertex in no minimal non-face inside s, so the
+    restriction to s is a cone on that vertex and has no reduced homology.
+    """
     ring = I.ring
     n = ring.nvars
     if n > MAX_COMPLEX_VARS:
@@ -339,16 +347,18 @@ def hochster_pd(I):
         raise ValueError("pd oracle needs a nonzero ideal")
     complex_ = stanley_reisner(I)
     all_faces = complex_.faces()
+    lattice = {frozenset()}
+    for m in monomial_exponents(I):
+        support = _support(m)
+        lattice |= {s | support for s in lattice}
     field = ring.field
     best = 0
-    for r in range(n + 1):
-        for sigma in combinations(range(n), r):
-            s = frozenset(sigma)
-            restricted = [f for f in all_faces if f <= s]
-            for d, h in reduced_homology_dims(restricted, field).items():
-                i = len(s) - d - 1
-                if i > best:
-                    best = i
+    for s in lattice:
+        restricted = [f for f in all_faces if f <= s]
+        for d in reduced_homology_dims(restricted, field):
+            i = len(s) - d - 1
+            if i > best:
+                best = i
     return best
 
 

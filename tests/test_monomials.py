@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from conftest import random_monomial_ideal, seeded
@@ -14,6 +16,7 @@ from liaison.monomials import (
     krull_dim_monomial,
     monomial_radical,
     primary_decomposition_monomial,
+    reduced_homology_dims,
     stanley_reisner,
 )
 from liaison.resolutions import grade_via_ext, pd_via_resolution
@@ -122,6 +125,72 @@ def test_hochster_guard():
     gens = (ring.gen(0),)
     with pytest.raises(ResourceLimitError):
         hochster_pd(Ideal(ring, gens))
+
+
+def _pd_over_all_restrictions(I):
+    """Hochster's formula over every one of the 2^n vertex restrictions."""
+    n = I.ring.nvars
+    faces = stanley_reisner(I).faces()
+    best = 0
+    for r in range(n + 1):
+        for sigma in combinations(range(n), r):
+            s = frozenset(sigma)
+            restricted = [f for f in faces if f <= s]
+            for d in reduced_homology_dims(restricted, I.ring.field):
+                best = max(best, len(s) - d - 1)
+    return best
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=["QQ", "GF2"])
+def test_hochster_lattice_matches_all_restrictions(field):
+    rng = seeded(79)
+    done = 0
+    while done < 20:
+        n = 5 + done % 3
+        ring = PolyRing(field, [f"x{i}" for i in range(1, n + 1)])
+        I = random_monomial_ideal(rng, ring, max_gens=5, squarefree=True)
+        if I.is_unit():
+            continue
+        assert hochster_pd(I) == _pd_over_all_restrictions(I)
+        done += 1
+
+
+def test_restriction_outside_lcm_lattice_is_acyclic():
+    ring = PolyRing(QQ, [f"x{i}" for i in range(1, 6)])
+    x1, x2, x3, x4, x5 = ring.gens()
+    faces = stanley_reisner(Ideal(ring, (x1 * x2, x3 * x4))).faces()
+    # {x1, x2, x5} is no union of generator supports: a cone on x5
+    sigma = frozenset({0, 1, 4})
+    assert reduced_homology_dims([f for f in faces if f <= sigma], QQ) == {}
+    # {x1, x2} is in the lattice and carries homology
+    sigma = frozenset({0, 1})
+    assert reduced_homology_dims([f for f in faces if f <= sigma], QQ) == {0: 1}
+
+
+@pytest.mark.parametrize("field, pd", [(QQ, 3), (GF(2), 4)], ids=["QQ", "GF2"])
+def test_hochster_rp2_depends_on_characteristic(field, pd):
+    # Stanley-Reisner ideal of the 6-vertex real projective plane: the 10
+    # triples that are not triangles; H~_1 = Z/2 shows only in characteristic 2
+    triangles = ("123", "134", "145", "156", "126", "235", "245", "246", "346", "356")
+    faces = {frozenset(triangle) for triangle in triangles}
+    ring = PolyRing(field, [f"x{i}" for i in range(1, 7)])
+    x = dict(zip("123456", ring.gens()))
+    cubics = tuple(
+        x[a] * x[b] * x[c]
+        for a, b, c in combinations("123456", 3)
+        if frozenset((a, b, c)) not in faces
+    )
+    I = Ideal(ring, cubics)
+    assert len(cubics) == 10
+    assert hochster_pd(I) == pd
+    assert pd_via_resolution(I) == pd
+
+
+def test_cd_bounded_work_in_twelve_variables():
+    # three disjoint edges in 12 variables: 8 lattice points, not 4096
+    ring = PolyRing(QQ, [f"x{i}" for i in range(1, 13)])
+    x = ring.gens()
+    assert cd_monomial(Ideal(ring, (x[0] * x[1], x[2] * x[3], x[4] * x[5]))) == 3
 
 
 def test_cd_examples(r2, flagship):
