@@ -32,7 +32,6 @@ from .monomials import (
     cd_monomial,
     intersect_primes,
     is_monomial_ideal,
-    minimalize_exponents,
     monomial_exponents,
     monomial_radical,
     prime_ideal,
@@ -101,10 +100,45 @@ def _require_linked(inst):
     return b
 
 
+def _require_geometric(inst):
+    b = inst.partner()
+    if not is_geometrically_linked(inst.a, b, inst.I, inst.module, inst.witness):
+        raise Inapplicable("a and b are not geometrically linked by I over M")
+    return b
+
+
+def _require_proper_sum(inst, b):
+    """a + b, when (a + b)M != M; otherwise every cd and grade of a + b on M
+    is undefined."""
+    ab = ideal_sum(inst.a, b)
+    if ideal_sum(ab, inst.module.defining_ideal).is_unit():
+        raise Inapplicable("a + b acts as the unit ideal on M")
+    return ab
+
+
 def _require_monomial(*ideals):
     for I in ideals:
         if not is_monomial_ideal(I):
             raise Inapplicable("non-monomial data: associated primes unavailable")
+
+
+def _unmixed_ass(inst):
+    """Ass(M/IM) for monomial I + J with no embedded prime, together with the
+    primes containing a and the excluded primes (those not containing a)."""
+    IJ = ideal_sum(inst.I, inst.module.defining_ideal)
+    _require_monomial(IJ)
+    ass = associated_primes_monomial(IJ)
+    if not ass.is_unmixed():
+        raise Inapplicable("Ass(M/IM) has an embedded prime")
+    in_v_a = _v_of(inst.a, ass.all_primes, inst.ring)
+    return ass.all_primes, in_v_a, set(ass.all_primes) - in_v_a
+
+
+def _aprime(inst):
+    """a' of the instance, when the witness is a maximal regular sequence in a."""
+    if grade_via_ext(inst.a, inst.module) != inst.witness.length:
+        raise Inapplicable("witness is not a maximal regular sequence in a")
+    return aprime_construct(inst.a, inst.I, inst.module, inst.witness)
 
 
 def _v_of(I, prime_set, ring):
@@ -146,17 +180,20 @@ def check_structure(inst):
         details["zero_link_radicals_agree"] = clause2
         ok = ok and clause2
 
-    aJ = ideal_sum(inst.a, J)
-    IJ = ideal_sum(inst.I, J)
-    if is_monomial_ideal(aJ) and is_monomial_ideal(IJ):
-        contained = _ass_contained(aJ, IJ, details)
+    try:
+        contained = _ass_contained(inst, details)
         ok = ok and contained
-    else:
+    except Inapplicable:
         details["ass_containment"] = "skipped (non-monomial data)"
     return ok, details, {"b": _gens_str(b)}
 
 
-def _ass_contained(aJ, IJ, details):
+def _ass_contained(inst, details):
+    """Ass(M/aM) within Ass(M/IM), for monomial a + J and I + J."""
+    J = inst.module.defining_ideal
+    aJ = ideal_sum(inst.a, J)
+    IJ = ideal_sum(inst.I, J)
+    _require_monomial(aJ, IJ)
     ass_a = associated_primes_monomial(aJ).all_primes
     ass_i = associated_primes_monomial(IJ).all_primes
     details["ass_mod_a"] = _primes_str(ass_a)
@@ -169,16 +206,44 @@ def _ass_contained(aJ, IJ, details):
 def check_ass_containment(inst):
     """The embedding consequence alone: Ass(M/aM) within Ass(M/IM)."""
     _require_linked(inst)
-    J = inst.module.defining_ideal
-    aJ = ideal_sum(inst.a, J)
-    IJ = ideal_sum(inst.I, J)
-    _require_monomial(aJ, IJ)
     details = {}
-    ok = _ass_contained(aJ, IJ, details)
+    ok = _ass_contained(inst, details)
     return ok, details, None
 
 
 # -- Mayer-Vietoris bound and the vanishing pattern ------------------------------
+
+
+def _pattern_applies(inst):
+    """The relative-CM setting of the vanishing pattern: M = R, a squarefree."""
+    if not inst.module.is_free() or not is_monomial_ideal(inst.a):
+        return False
+    return all(all(e <= 1 for e in m) for m in monomial_exponents(inst.a))
+
+
+def _vanishing_pattern(inst, grade_ab, details):
+    """Ext^i(R/a, R) is nonzero only for i in {grade a, grade(a + b)}."""
+    degrees = ext_nonvanishing_degrees(inst.a)
+    allowed = {grade_via_ext(inst.a, inst.module), grade_ab}
+    details["nonvanishing_degrees"] = sorted(degrees)
+    details["allowed_degrees"] = sorted(allowed)
+    return degrees <= allowed
+
+
+def _zero_link_cd(inst, b, details):
+    """For I = 0 and principal a: cd(a, M) = cd(a, M/bM); None otherwise."""
+    if not inst.I.is_zero():
+        return None
+    gb_a = inst.a.groebner()
+    if len(gb_a) != 1:
+        return None
+    f = gb_a[0]
+    lhs = cd_principal_cyclic(f, inst.module)
+    J = inst.module.defining_ideal
+    rhs = cd_principal_cyclic(f, CyclicModule(inst.ring, ideal_sum(b, J)))
+    details["cd_a_on_M"] = lhs
+    details["cd_a_on_M_mod_bM"] = rhs
+    return lhs == rhs
 
 
 def check_mv_bound(inst):
@@ -186,14 +251,13 @@ def check_mv_bound(inst):
     the pair is geometrically linked; plus the two-degree vanishing pattern
     and the I = 0 reduction, where their hypotheses apply."""
     b = _require_linked(inst)
+    ab = _require_proper_sum(inst, b)
     M = inst.module
-    J = M.defining_ideal
     t = inst.witness.length
     details = {"t": t}
     applicable = False
     ok = True
 
-    ab = ideal_sum(inst.a, b)
     cd_a = cd_oracle(inst.a, M)
     cd_b = cd_oracle(b, M)
     cd_ab = cd_oracle(ab, M)
@@ -214,73 +278,44 @@ def check_mv_bound(inst):
     if cd_ab is not None:
         grade_ab = grade_via_ext(ab, M)
         details["grade_a_plus_b"] = grade_ab
-        if cd_ab == grade_ab and M.is_free() and _is_squarefree(inst.a):
+        if cd_ab == grade_ab and _pattern_applies(inst):
             applicable = True
-            degrees = ext_nonvanishing_degrees(inst.a)
-            allowed = {grade_via_ext(inst.a, M), grade_ab}
-            pattern = degrees <= allowed
-            details["nonvanishing_degrees"] = sorted(degrees)
-            details["allowed_degrees"] = sorted(allowed)
+            pattern = _vanishing_pattern(inst, grade_ab, details)
             details["vanishing_pattern_holds"] = pattern
             ok = ok and pattern
 
-    if inst.I.is_zero():
-        gb_a = inst.a.groebner()
-        if len(gb_a) == 1:
-            applicable = True
-            f = gb_a[0]
-            lhs = cd_principal_cyclic(f, M)
-            quotient_module = CyclicModule(inst.ring, ideal_sum(b, J))
-            rhs = cd_principal_cyclic(f, quotient_module)
-            details["cd_a_on_M"] = lhs
-            details["cd_a_on_M_mod_bM"] = rhs
-            details["zero_link_cd_equal"] = lhs == rhs
-            ok = ok and lhs == rhs
+    equal = _zero_link_cd(inst, b, details)
+    if equal is not None:
+        applicable = True
+        details["zero_link_cd_equal"] = equal
+        ok = ok and equal
 
     if not applicable:
         raise Inapplicable("no cd oracle applies to this instance")
     return ok, details, {"b": _gens_str(b)}
 
 
-def _is_squarefree(I):
-    if not is_monomial_ideal(I):
-        return False
-    return all(all(e <= 1 for e in m) for m in monomial_exponents(I))
-
-
 def check_vanishing_pattern(inst):
     """The vanishing-pattern clauses alone (relative CM case and I = 0 case)."""
     b = _require_linked(inst)
-    M = inst.module
-    J = M.defining_ideal
+    ab = _require_proper_sum(inst, b)
     details = {}
     ok = True
     applicable = False
 
-    ab = ideal_sum(inst.a, b)
-    cd_ab = cd_oracle(ab, M)
-    if cd_ab is not None and M.is_free() and _is_squarefree(inst.a):
-        grade_ab = grade_via_ext(ab, M)
+    cd_ab = cd_oracle(ab, inst.module)
+    if cd_ab is not None and _pattern_applies(inst):
+        grade_ab = grade_via_ext(ab, inst.module)
         if cd_ab == grade_ab:
             applicable = True
-            degrees = ext_nonvanishing_degrees(inst.a)
-            allowed = {grade_via_ext(inst.a, M), grade_ab}
-            details["nonvanishing_degrees"] = sorted(degrees)
-            details["allowed_degrees"] = sorted(allowed)
-            ok = ok and degrees <= allowed
+            ok = ok and _vanishing_pattern(inst, grade_ab, details)
         else:
             details["relative_cm"] = False
 
-    if inst.I.is_zero():
-        gb_a = inst.a.groebner()
-        if len(gb_a) == 1:
-            applicable = True
-            f = gb_a[0]
-            lhs = cd_principal_cyclic(f, M)
-            rhs = cd_principal_cyclic(f, CyclicModule(inst.ring, ideal_sum(b, J)))
-            details["cd_a_on_M"] = lhs
-            details["cd_a_on_M_mod_bM"] = rhs
-            ok = ok and lhs == rhs
+    equal = _zero_link_cd(inst, b, details)
+    if equal is not None:
+        applicable = True
+        ok = ok and equal
 
     if not applicable:
         raise Inapplicable("neither vanishing-pattern hypothesis applies")
@@ -292,11 +327,10 @@ def check_vanishing_pattern(inst):
 
 def check_grade_formula(inst):
     """grade_M(a + b) = t + 1 for geometrically linked pairs."""
-    b = inst.partner()
-    if not is_geometrically_linked(inst.a, b, inst.I, inst.module, inst.witness):
-        raise Inapplicable("a and b are not geometrically linked by I over M")
+    b = _require_geometric(inst)
+    ab = _require_proper_sum(inst, b)
     t = inst.witness.length
-    grade_ab = grade_via_ext(ideal_sum(inst.a, b), inst.module)
+    grade_ab = grade_via_ext(ab, inst.module)
     details = {"t": t, "grade_a_plus_b": grade_ab, "expected": t + 1}
     return grade_ab == t + 1, details, {"b": _gens_str(b)}
 
@@ -318,17 +352,11 @@ def check_cd_formula(inst):
     M = inst.module
     ring = inst.ring
     J = M.defining_ideal
-    IJ = ideal_sum(inst.I, J)
-    _require_monomial(IJ)
-    ass = associated_primes_monomial(IJ)
-    if not ass.is_unmixed():
-        raise Inapplicable("Ass(M/IM) has an embedded prime")
+    primes, in_v_a, excluded = _unmixed_ass(inst)
 
-    details = {"ass_mod_I": _primes_str(ass.all_primes)}
+    details = {"ass_mod_I": _primes_str(primes)}
     grade_a = grade_via_ext(inst.a, M)
     details["grade_a"] = grade_a
-    in_v_a = _v_of(inst.a, ass.all_primes, ring)
-    excluded = set(ass.all_primes) - in_v_a
     details["excluded_primes"] = _primes_str(excluded)
     cd_a = cd_oracle(inst.a, M)
     if cd_a is not None:
@@ -345,6 +373,7 @@ def check_cd_formula(inst):
         details["branch"] = "excluded primes present"
         c = intersect_primes(ring, excluded)
         details["c"] = _gens_str(c)
+        IJ = ideal_sum(inst.I, J)
         rad_ok = radicals_equal(IJ, ideal_sum(intersect_ideals(inst.a, c), J))
         details["radical_I_eq_a_cap_c"] = rad_ok
         grade_ac = grade_via_ext(ideal_sum(inst.a, c), M)
@@ -364,7 +393,7 @@ def check_cd_formula(inst):
     geometric = is_geometrically_linked(inst.a, b, inst.I, M, inst.witness)
     details["geometric"] = geometric
     if geometric:
-        in_v_b = _v_of(b, ass.all_primes, ring)
+        in_v_b = _v_of(b, primes, ring)
         e3_ok = excluded == in_v_b
         details["excluded_eq_v_b"] = e3_ok
         details["ass_in_v_b"] = _primes_str(in_v_b)
@@ -377,19 +406,10 @@ def check_cd_formula(inst):
 def check_e3_identity(inst):
     """The excluded-primes identity for geometric links, with the derived cd
     formula value recorded when M is not relative Cohen-Macaulay wrt a."""
-    b = inst.partner()
+    b = _require_geometric(inst)
     M = inst.module
-    ring = inst.ring
-    if not is_geometrically_linked(inst.a, b, inst.I, M, inst.witness):
-        raise Inapplicable("a and b are not geometrically linked by I over M")
-    IJ = ideal_sum(inst.I, M.defining_ideal)
-    _require_monomial(IJ)
-    ass = associated_primes_monomial(IJ)
-    if not ass.is_unmixed():
-        raise Inapplicable("Ass(M/IM) has an embedded prime")
-    in_v_a = _v_of(inst.a, ass.all_primes, ring)
-    in_v_b = _v_of(b, ass.all_primes, ring)
-    excluded = set(ass.all_primes) - in_v_a
+    primes, _, excluded = _unmixed_ass(inst)
+    in_v_b = _v_of(b, primes, inst.ring)
     ok = excluded == in_v_b
     details = {
         "excluded_primes": _primes_str(excluded),
@@ -408,33 +428,23 @@ def check_e3_identity(inst):
 # -- a' construction --------------------------------------------------------------
 
 
-_radical_ideal_cache = {}
-
-
 def _all_radical_monomial_ideals(ring):
     """Every squarefree monomial ideal of the ring (antichains of supports),
-    zero and unit ideals excluded.  Exponential; callers gate on <= 4 vars."""
+    zero and unit ideals excluded.  Exponential; callers gate on <= 4 vars.
+
+    Supports are the variable bitmasks 1 .. 2^n - 1, each folded into the
+    antichains it is incomparable with.  The list stays ordered by the subset
+    mask of each antichain over the supports (a support's chains extend the
+    list in its order, with a new highest bit), which is the order in which a
+    scan over all sets of supports first meets each antichain."""
     n = ring.nvars
-    key = (ring.field.characteristic, ring.vars, ring.order)
-    cached = _radical_ideal_cache.get(key)
-    if cached is not None:
-        return cached
-    supports = []
-    for mask in range(1, 1 << n):
-        supports.append(tuple(i for i in range(n) if mask >> i & 1))
-    seen = set()
+    antichains = [()]
+    for s in range(1, 1 << n):
+        antichains += [c + (s,) for c in antichains if all(t & s != t for t in c)]
     ideals = []
-    for mask in range(1, 1 << len(supports)):
-        chosen = [supports[i] for i in range(len(supports)) if mask >> i & 1]
-        exps = []
-        for supp in chosen:
-            exps.append(tuple(1 if i in supp else 0 for i in range(n)))
-        canon = tuple(minimalize_exponents(exps))
-        if canon in seen:
-            continue
-        seen.add(canon)
-        ideals.append(Ideal(ring, tuple(ring.monomial(e) for e in canon)))
-    _radical_ideal_cache[key] = ideals
+    for chain in antichains[1:]:
+        exps = sorted(tuple(s >> i & 1 for i in range(n)) for s in chain)
+        ideals.append(Ideal(ring, tuple(ring.monomial(e) for e in exps)))
     return ideals
 
 
@@ -449,20 +459,12 @@ def check_aprime(inst, alternate_I=None, alternate_witness=None):
     IJ = ideal_sum(inst.I, J)
     _require_monomial(IJ)
     try:
-        _require_linked(inst)
-        linked = True
-        b = inst.partner()
+        b = _require_linked(inst)
     except Inapplicable:
-        linked = False
         b = None
-    grade_a = grade_via_ext(inst.a, M)
-    if grade_a != inst.witness.length:
-        raise Inapplicable("witness is not a maximal regular sequence in a")
-
-    details = {"grade_a": grade_a}
+    ap = _aprime(inst)
+    details = {"grade_a": inst.witness.length, "aprime": _gens_str(ap)}
     ok = True
-    ap = aprime_construct(inst.a, inst.I, M, inst.witness)
-    details["aprime"] = _gens_str(ap)
 
     contain = all(ap.contains(g) for g in inst.a.gens)
     details["a_contained"] = contain
@@ -495,9 +497,7 @@ def check_aprime(inst, alternate_I=None, alternate_witness=None):
             if not all(cand.contains(g) for g in inst.a.gens):
                 continue
             candJ = ideal_sum(cand, J)
-            if ideal_equal(IJ, candJ) or Ideal(
-                ring, cand.gens + J.gens
-            ).is_unit():
+            if ideal_equal(IJ, candJ) or candJ.is_unit():
                 continue
             if not s_membership(cand, inst.I, M, inst.witness):
                 continue
@@ -508,7 +508,7 @@ def check_aprime(inst, alternate_I=None, alternate_witness=None):
         ok = ok and minimal_ok
 
     aJ = ideal_sum(inst.a, J)
-    if linked and is_monomial_ideal(aJ) and ideal_equal(aJ, monomial_radical(aJ)):
+    if b is not None and is_monomial_ideal(aJ) and ideal_equal(aJ, monomial_radical(aJ)):
         c4 = ideal_equal(aJ, apJ)
         details["sqrt_a_equals_aprime"] = c4
         ok = ok and c4
@@ -519,15 +519,9 @@ def check_c4(inst):
     """sqrt(a + Ann M) equals the intersection of associated primes over a
     (the a' construction), on linked instances."""
     _require_linked(inst)
-    M = inst.module
-    J = M.defining_ideal
-    IJ = ideal_sum(inst.I, J)
-    _require_monomial(IJ)
-    grade_a = grade_via_ext(inst.a, M)
-    if grade_a != inst.witness.length:
-        raise Inapplicable("witness is not a maximal regular sequence in a")
-    ap = aprime_construct(inst.a, inst.I, M, inst.witness)
-    aJ = ideal_sum(inst.a, J)
+    _require_monomial(ideal_sum(inst.I, inst.module.defining_ideal))
+    ap = _aprime(inst)
+    aJ = ideal_sum(inst.a, inst.module.defining_ideal)
     ok = radicals_equal(aJ, ap)
     details = {"aprime": _gens_str(ap), "sqrt_a_plus_ann": _gens_str(aJ)}
     return ok, details, None
@@ -541,7 +535,7 @@ def check_s_reflex(inst):
     if ideal_equal(ideal_sum(inst.I, J), ideal_sum(inst.a, J)):
         raise Inapplicable("I equals a modulo J")
     cand = candidate_link(inst.a, inst.I, M, inst.witness)
-    if Ideal(inst.ring, cand.gens + J.gens).is_unit() or cand.is_zero():
+    if ideal_sum(cand, J).is_unit() or cand.is_zero():
         lhs = False
     else:
         lhs = is_linked(inst.a, cand, inst.I, M, inst.witness)
@@ -639,7 +633,7 @@ def check_c1(ring, corpus):
         I = Ideal(ring, elements)
         w = RegularSequenceWitness(elements)
         b = candidate_link(m, I, M, w)
-        if Ideal(ring, b.gens).is_unit():
+        if b.is_unit():
             continue
         if not is_linked(m, b, I, M, w):
             continue

@@ -13,20 +13,24 @@ from importlib import resources
 from . import __version__, limits
 from .checks import FAILS, run_suite
 from .errors import LiaisonError, ParseError, ResourceLimitError
-from .fields import GF, QQ
 from .generate import PROFILES, generate_instances
 from .groebner import Ideal
 from .ideal_ops import ideal_quotient, intersect_ideals
-from .instancefile import instance_digest, parse_instance
+from .instancefile import (
+    instance_digest,
+    parse_instance,
+    parse_poly_list,
+    parse_ring_spec,
+)
 from .linkage import (
     CyclicModule,
     RegularSequenceWitness,
     aprime_construct,
     cd_bounds,
 )
-from .parse import TokenStream, parse_poly_tokens, tokenize
+from .parse import TokenStream, tokenize
 from .resolutions import grade_via_ext, pd_via_resolution
-from .rings import PolyRing, poly_str
+from .rings import poly_str
 
 
 def report_schema():
@@ -137,55 +141,23 @@ def _cmd_run(args):
     return exit_code_for(verdicts)
 
 
-def _parse_ring_spec(spec):
-    """'QQ[x,y] grevlex' or 'FP(7)[x1,x2] lex' (order defaults to grevlex)."""
-    ts = TokenStream(tokenize(spec))
-    field_tok = ts.expect_ident("field")
-    if field_tok.value == "QQ":
-        field = QQ
-    elif field_tok.value == "FP":
-        ts.expect_sym("(")
-        field = GF(ts.expect_int("prime").value)
-        ts.expect_sym(")")
-    else:
-        raise ParseError("expected QQ or FP(p)", field_tok.line, field_tok.col)
-    ts.expect_sym("[")
-    variables = [ts.expect_ident("variable").value]
-    while ts.try_sym(","):
-        variables.append(ts.expect_ident("variable").value)
-    ts.expect_sym("]")
-    order = "grevlex"
-    if ts.peek().kind == "ident":
-        order = ts.next().value
-    ts.expect_eof()
-    return PolyRing(field, variables, order)
-
-
-def _parse_poly_list_arg(ring, text):
-    """Comma-separated polynomials; '0' alone denotes the empty list."""
+def _parse_arg(text, parser, *args):
+    """One whole command-line argument through an instance-file parser."""
     ts = TokenStream(tokenize(text))
-    first = ts.peek()
-    if first.kind == "int" and first.value == 0:
-        ts.next()
-        if ts.peek().kind == "eof":
-            return []
-        ts.pos -= 1
-    polys = [parse_poly_tokens(ts, ring)]
-    while ts.try_sym(","):
-        polys.append(parse_poly_tokens(ts, ring))
+    out = parser(ts, *args)
     ts.expect_eof()
-    return polys
+    return out
 
 
 def _cmd_compute(args):
-    ring = _parse_ring_spec(args.ring)
-    ideal = Ideal(ring, tuple(_parse_poly_list_arg(ring, args.ideal)))
+    ring = _parse_arg(args.ring, parse_ring_spec, "grevlex")
+    ideal = Ideal(ring, tuple(_parse_arg(args.ideal, parse_poly_list, ring)))
     by = None
     if args.by is not None:
-        by = Ideal(ring, tuple(_parse_poly_list_arg(ring, args.by)))
+        by = Ideal(ring, tuple(_parse_arg(args.by, parse_poly_list, ring)))
     module_ideal = Ideal(ring, ())
     if args.module is not None:
-        module_ideal = Ideal(ring, tuple(_parse_poly_list_arg(ring, args.module)))
+        module_ideal = Ideal(ring, tuple(_parse_arg(args.module, parse_poly_list, ring)))
     module = CyclicModule(ring, module_ideal)
 
     def show_ideal(I):
@@ -249,7 +221,9 @@ def build_parser():
         "operation",
         choices=("gb", "colon", "intersect", "grade", "cd", "pd", "aprime"),
     )
-    compute_p.add_argument("--ring", required=True, help='e.g. "QQ[x,y] grevlex"')
+    compute_p.add_argument(
+        "--ring", required=True, help='e.g. "QQ[x,y] lex" (order lex or grevlex, default grevlex)'
+    )
     compute_p.add_argument("--ideal", required=True, help="comma-separated generators")
     compute_p.add_argument("--by", default=None, help="second ideal / sequence")
     compute_p.add_argument(

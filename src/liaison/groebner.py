@@ -310,12 +310,6 @@ class Ideal:
         gb = self.groebner()
         return len(gb) == 1 and gb[0].is_constant()
 
-    def is_proper(self):
-        return not self.is_unit()
-
-    def is_monomial(self):
-        return all(g.is_monomial() for g in self.groebner())
-
     def __repr__(self):
         if not self.gens:
             return "Ideal(0)"

@@ -100,9 +100,9 @@ class InstanceFile:
         return out
 
 
-def _parse_ring(ts, line_tok):
-    name = ts.expect_ident("ring name").value
-    ts.expect_sym("=")
+def parse_ring_spec(ts, default_order=None):
+    """`(QQ | FP(prime)) [ var {, var} ] (lex | grevlex)`; the order may be
+    left out only when a default is given."""
     field_tok = ts.expect_ident("coefficient field")
     if field_tok.value == "QQ":
         field = QQ
@@ -127,23 +127,25 @@ def _parse_ring(ts, line_tok):
     close = ts.expect_sym("]")
     if len(set(variables)) != len(variables):
         raise ParseError("duplicate variable", close.line, close.col)
+    if default_order is not None and ts.peek().kind != "ident":
+        return PolyRing(field, variables, default_order)
     order_tok = ts.expect_ident("monomial order")
     if order_tok.value not in ("lex", "grevlex"):
         raise ParseError(
             f"unknown order {order_tok.value!r}", order_tok.line, order_tok.col
         )
-    ts.expect_sym(";")
-    return name, PolyRing(field, variables, order_tok.value)
+    return PolyRing(field, variables, order_tok.value)
 
 
-def _parse_poly_list(ts, ring):
-    """Comma-separated polynomials; a lone literal 0 denotes the empty list."""
+def parse_poly_list(ts, ring):
+    """Comma-separated polynomials; a lone literal 0 (before ';' or the end of
+    input) denotes the empty list."""
     polys = []
     first = ts.peek()
     if first.kind == "int" and first.value == 0:
         probe = ts.pos
         ts.next()
-        if ts.at_sym(";"):
+        if ts.at_sym(";") or ts.peek().kind == "eof":
             return []
         ts.pos = probe
     polys.append(parse_poly_tokens(ts, ring))
@@ -181,13 +183,16 @@ def parse_instance(text):
         if head.value == "ring":
             if ring is not None:
                 raise ParseError("second ring declaration", head.line, head.col)
-            ring_name, ring = _parse_ring(ts, head)
+            ring_name = ts.expect_ident("ring name").value
+            ts.expect_sym("=")
+            ring = parse_ring_spec(ts)
+            ts.expect_sym(";")
         elif head.value == "ideal":
             need_ring(head)
             name = ts.expect_ident("ideal name")
             check_fresh(name, "ideal", ideals)
             ts.expect_sym("=")
-            polys = _parse_poly_list(ts, ring)
+            polys = parse_poly_list(ts, ring)
             ts.expect_sym(";")
             ideals[name.value] = Ideal(ring, tuple(polys))
         elif head.value == "module":

@@ -45,9 +45,6 @@ class CyclicModule:
     def is_free(self):
         return self.defining_ideal.is_zero()
 
-    def annihilator(self):
-        return self.defining_ideal
-
     def __repr__(self):
         j = self.defining_ideal
         return f"R/({', '.join(repr(g) for g in j.gens) or '0'})"

@@ -161,9 +161,6 @@ class AssociatedPrimes:
     all_primes: frozenset
     minimal: frozenset
 
-    def embedded(self):
-        return self.all_primes - self.minimal
-
     def is_unmixed(self):
         return self.all_primes == self.minimal
 
@@ -210,9 +207,6 @@ class SimplicialComplex:
 
     n_vertices: int
     facets: tuple
-
-    def is_face(self, subset):
-        return any(subset <= f for f in self.facets)
 
     def faces(self):
         seen = set()

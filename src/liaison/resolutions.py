@@ -64,12 +64,6 @@ class FreeResolution:
     def length(self):
         return len(self.diffs)
 
-    def matrix(self, i):
-        """Entries of d_i (1-indexed) as rows x columns of polynomials."""
-        cols = self.diffs[i - 1]
-        rows = self.ranks[i - 1]
-        return [[col.coords[r] for col in cols] for r in range(rows)]
-
 
 def _apply_columns(cols, vec):
     """Image of vec under the map whose columns are cols."""

@@ -124,11 +124,6 @@ class PolyRing:
         exps[i] = 1
         return self.monomial(exps)
 
-    def var(self, name):
-        if name not in self._index:
-            raise ValueError(f"unknown variable {name!r}")
-        return self.gen(self._index[name])
-
     def gens(self):
         return tuple(self.gen(i) for i in range(self.nvars))
 
@@ -182,12 +177,6 @@ class Polynomial:
         if not self.terms:
             raise ValueError("the zero polynomial has no leading term")
         return self.terms[0]
-
-    def leading_monomial(self):
-        return self.leading_term()[0]
-
-    def leading_coeff(self):
-        return self.leading_term()[1]
 
     def constant_coeff(self):
         zero_exps = (0,) * self.ring.nvars

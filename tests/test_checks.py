@@ -5,12 +5,14 @@ from liaison.checks import (
     HOLDS,
     INAPPLICABLE,
     CheckId,
+    _all_radical_monomial_ideals,
     run_check,
     run_suite,
 )
 from liaison.groebner import Ideal
 from liaison.instancefile import parse_instance
 from liaison.linkage import LinkageInstance, RegularSequenceWitness, free_module
+from liaison.monomials import minimalize_exponents
 from liaison.rings import PolyRing
 from liaison.fields import QQ
 
@@ -167,3 +169,28 @@ def test_zero_link_suite(corpus_files):
     grade = next(v for v in verdicts if v.check is CheckId.GRADE_FORMULA_T)
     assert grade.details["grade_a_plus_b"] == 1
     assert grade.details["t"] == 0
+
+
+def _radical_ideals_by_subset_scan(n):
+    """Reference: minimalize every nonempty set of nonempty supports, keeping
+    the first occurrence of each antichain (2^(2^n - 1) subsets)."""
+    supports = [tuple(i for i in range(n) if mask >> i & 1) for mask in range(1, 1 << n)]
+    seen = set()
+    out = []
+    for mask in range(1, 1 << len(supports)):
+        chosen = [supports[i] for i in range(len(supports)) if mask >> i & 1]
+        exps = [tuple(1 if i in supp else 0 for i in range(n)) for supp in chosen]
+        canon = tuple(minimalize_exponents(exps))
+        if canon not in seen:
+            seen.add(canon)
+            out.append(canon)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_radical_ideals_match_subset_scan(n):
+    ring = PolyRing(QQ, [f"x{i}" for i in range(1, n + 1)])
+    ideals = _all_radical_monomial_ideals(ring)
+    gens = [tuple(g.terms[0][0] for g in I.gens) for I in ideals]
+    assert gens == _radical_ideals_by_subset_scan(n)
+    assert len(gens) == {1: 1, 2: 4, 3: 18, 4: 166}[n]

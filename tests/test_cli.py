@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -8,7 +9,8 @@ import liaison.checks as checks_mod
 from liaison.checks import CheckId
 from liaison.cli import main, report_schema
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
 
 
 def test_run_corpus_exit_zero(capsys):
@@ -226,3 +228,59 @@ def test_gen_round_trips(capsys, tmp_path):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert all(v["status"] in ("holds", "inapplicable") for v in report["verdicts"])
+
+
+def test_compute_rejects_internal_order(capsys):
+    assert main(["compute", "gb", "--ring", "QQ[x,y] elim_last", "--ideal", "x"]) == 2
+    assert "unknown order 'elim_last'" in capsys.readouterr().err
+    assert main(["compute", "gb", "--ring", "QQ[x,y]", "--ideal", "0"]) == 0
+    assert capsys.readouterr().out.strip() == "0"
+
+
+UNIT_SUM = """\
+ring R = QQ[x, y] grevlex;
+ideal J = x^2 - x;
+ideal a = x;
+ideal b = x - 1;
+ideal I = 0;
+module M = quotient J;
+check L07(a = a, b = b, I = I, M = M);
+check T8_MV(a = a, b = b, I = I, M = M);
+check L5(a = a, b = b, I = I, M = M);
+check GRADE_FORMULA_T(a = a, b = b, I = I, M = M);
+check S_REFLEX(a = a, I = I, M = M);
+"""
+
+
+def test_unit_sum_pair_is_inapplicable_not_an_abort(tmp_path, capsys):
+    # a = (x) and b = (x - 1) are linked by 0 over R/(x^2 - x), but a + b = R
+    path = tmp_path / "unit_sum.link"
+    path.write_text(UNIT_SUM)
+    assert main(["run", str(path), "--format", "json"]) == 0
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert [(v["check"], v["status"]) for v in verdicts] == [
+        ("L07", "holds"),
+        ("T8_MV", "inapplicable"),
+        ("L5", "inapplicable"),
+        ("GRADE_FORMULA_T", "inapplicable"),
+        ("S_REFLEX", "holds"),
+    ]
+    for v in verdicts[1:4]:
+        assert v["details"] == {"hypothesis": "a + b acts as the unit ideal on M"}
+
+
+PINNED = json.loads((ROOT / "perfbench" / "reference.json").read_text())["corpus"]
+
+
+def test_pinned_corpus_covers_every_file():
+    assert sorted(PINNED) == sorted(p.name for p in CORPUS.glob("*.link"))
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_corpus_report_matches_pinned_digest(name, capsys):
+    code = main(["run", str(CORPUS / name), "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    for verdict in report["verdicts"]:
+        del verdict["millis"]
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert (code, digest) == (PINNED[name]["exit"], PINNED[name]["report"])
