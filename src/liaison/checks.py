@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 
+from . import limits
 from .errors import ResourceLimitError, WitnessError
 from .groebner import Ideal, ideal_sum
 from .ideal_ops import ideal_equal, ideal_quotient, intersect_ideals, radicals_equal
@@ -714,7 +715,8 @@ def run_check(check_id, *args, **kwargs):
 
 
 def run_suite(parsed):
-    """Run every check directive of a parsed instance file, in file order."""
+    """Run every check directive of a parsed instance file, in file order,
+    in one run (limits.run_context) under the enclosing run's caps."""
     tasks = []
     corpus = parsed.instances()
     for directive in parsed.directives:
@@ -728,4 +730,5 @@ def run_suite(parsed):
                 if alt is not None:
                     kwargs = {"alternate_I": alt[0], "alternate_witness": alt[1]}
             tasks.append((directive.check, (inst,), kwargs))
-    return [run_check(cid, *args, **kw) for cid, args, kw in tasks]
+    with limits.run_context():
+        return [run_check(cid, *args, **kw) for cid, args, kw in tasks]

@@ -118,21 +118,16 @@ def _cmd_run(args):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    previous_caps = None
-    if args.degree_cap is not None:
-        previous_caps = limits.set_caps(degree=args.degree_cap)
     try:
-        parsed = parse_instance(text)
-        verdicts = run_suite(parsed)
+        with limits.run_context(degree=args.degree_cap):
+            parsed = parse_instance(text)
+            verdicts = run_suite(parsed)
     except ParseError as exc:
         print(f"error: {args.file}: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:
         print(f"error: resource limit: {exc}", file=sys.stderr)
         return 3
-    finally:
-        if previous_caps is not None:
-            limits.set_caps(*previous_caps)
     report = build_report(parsed, verdicts)
     if args.format == "json":
         _write_output(json.dumps(report, indent=2) + "\n", args.out)
@@ -249,7 +244,8 @@ def main(argv=None):
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "compute":
-            return _cmd_compute(args)
+            with limits.run_context():
+                return _cmd_compute(args)
         return _cmd_gen(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

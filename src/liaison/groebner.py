@@ -7,14 +7,15 @@ normal-form loop, one pair loop and one reduce pass serve every rank.  Pairs
 are selected by minimal lcm total degree with ties broken by pair index; the
 coprime-lcm (product) criterion applies in rank one and the chain criterion
 to same-position pairs in every rank, so bases come out deterministic for a
-fixed ring and order.  The reduced basis of an ideal is cached write-once on
-the Ideal value.
+fixed ring and order.  A reduced basis is cached on the Ideal value and, for
+one run (limits.run_context), on the ring and set of nonzero generators.
 """
 
 from bisect import insort
 from operator import add, le, sub as minus
 
 from .errors import RingMismatchError
+from .limits import memo
 from .rings import Polynomial
 
 # -- exponent-tuple helpers --------------------------------------------------
@@ -274,8 +275,12 @@ def reduced_groebner_basis(gens, ring=None):
     _require_one_ring(gens)
     if ring is None:
         ring = gens[0].ring
-    G, _ = buchberger(ring, [(g,) for g in gens])
-    return tuple(row[0] for row in _reduce(ring, G))
+
+    def compute():
+        G, _ = buchberger(ring, [(g,) for g in gens])
+        return tuple(row[0] for row in _reduce(ring, G))
+
+    return memo("gb", (ring, frozenset(gens)), compute)
 
 
 class Ideal:
@@ -297,6 +302,10 @@ class Ideal:
         if self._gb is None:
             self._gb = reduced_groebner_basis(self.gens, self.ring)
         return self._gb
+
+    def gens_key(self):
+        """The nonzero generators: with the ring, a memo key for the ideal."""
+        return frozenset(g for g in self.gens if not g.is_zero())
 
     def contains(self, f):
         if f.ring != self.ring:

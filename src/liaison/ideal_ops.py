@@ -3,11 +3,14 @@ membership and equality, and exact ideal equality.
 
 Intersections eliminate one auxiliary variable appended after the ring's own
 variables, under a lex-over-grevlex block order; radical membership uses the
-inverted-element trick with the same auxiliary variable.
+inverted-element trick with the same auxiliary variable.  Within one run,
+intersections and quotients are memoized on the ring and the sets of nonzero
+generators, on whose ideals alone their results depend.
 """
 
 from .errors import RingMismatchError
 from .groebner import Ideal, exact_divide, reduced_groebner_basis
+from .limits import memo
 from .rings import PolyRing
 
 _AUX = "_t"  # not a legal identifier in the grammar, so it can never collide
@@ -48,6 +51,11 @@ def intersect_ideals(I, J):
     """Generators of the intersection, via elimination of the auxiliary
     variable t from t*I + (1-t)*J."""
     _check_same_ring(I, J)
+    key = (I.ring, I.gens_key(), J.gens_key())
+    return memo("intersect", key, lambda: _intersect(I, J))
+
+
+def _intersect(I, J):
     ring = I.ring
     ext = _extended_ring(ring)
     t = ext.gen(ext.nvars - 1)
@@ -83,6 +91,13 @@ def ideal_quotient(I, J):
     gens = [g for g in J.gens if not g.is_zero()]
     if not gens:
         raise ValueError("quotient by the zero ideal")
+    # One generator gives I : (f) as divided by f, several the reduced basis
+    # of an intersection, whatever their order or repetition.
+    key = (I.ring, I.gens_key(), frozenset(gens), len(gens) > 1)
+    return memo("quotient", key, lambda: _quotient(I, gens))
+
+
+def _quotient(I, gens):
     result = None
     for g in gens:
         q = _quotient_by_poly(I, g)

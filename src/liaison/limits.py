@@ -1,45 +1,76 @@
-"""Global resource caps for intermediate polynomials.
+"""Per-run resource caps and memo.
 
-Every polynomial construction is checked against a total-degree cap and a
-term-count cap; blowing past either aborts with ResourceLimitError instead of
-grinding on.  The caps are deliberately generous defaults for desk-scale
-inputs and can be tightened from the CLI (--degree-cap).
+A run (`checks.run_suite`, `liaison compute`) opens a RunContext, held in a
+context variable.  Every polynomial built is checked against a total-degree
+cap (the run's, else the default) and a term-count cap, and blowing past
+either aborts with ResourceLimitError instead of grinding on.  The run also
+memoizes exact computations whose value depends only on their key, so it
+makes each once; only completed values are stored, and only until it ends.
 """
+
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 from .errors import ResourceLimitError
 
 DEFAULT_DEGREE_CAP = 128
-DEFAULT_TERM_CAP = 200_000
+TERM_CAP = 200_000
 
-_degree_cap = DEFAULT_DEGREE_CAP
-_term_cap = DEFAULT_TERM_CAP
+_RUN = ContextVar("liaison_run", default=None)
 
 
-def set_caps(degree=None, terms=None):
-    """Set the degree and/or term-count caps; returns the previous pair."""
-    global _degree_cap, _term_cap
-    old = (_degree_cap, _term_cap)
-    if degree is not None:
-        if degree < 1:
+class RunContext:
+    """The degree cap and the memo of one run."""
+
+    __slots__ = ("degree_cap", "memo")
+
+    def __init__(self, degree_cap):
+        if degree_cap < 1:
             raise ValueError("degree cap must be positive")
-        _degree_cap = degree
-    if terms is not None:
-        if terms < 1:
-            raise ValueError("term cap must be positive")
-        _term_cap = terms
-    return old
+        self.degree_cap = degree_cap
+        self.memo = {}
 
 
-def get_caps():
-    return (_degree_cap, _term_cap)
+def current_run():
+    """The open RunContext, or None outside a run."""
+    return _RUN.get()
+
+
+def _degree_cap():
+    run = _RUN.get()
+    return run.degree_cap if run else DEFAULT_DEGREE_CAP
+
+
+@contextmanager
+def run_context(degree=None):
+    """A run with an empty memo, under the enclosing degree cap if none given."""
+    run = RunContext(_degree_cap() if degree is None else degree)
+    token = _RUN.set(run)
+    try:
+        yield run
+    finally:
+        _RUN.reset(token)
+
+
+def memo(kind, key, compute):
+    """compute() once per (kind, key) in the open run; outside a run, always.
+    An exception (a ResourceLimitError among them) stores nothing."""
+    run = _RUN.get()
+    if run is None:
+        return compute()
+    slot = (kind, key)
+    if slot not in run.memo:
+        run.memo[slot] = compute()
+    return run.memo[slot]
 
 
 def check_terms(n_terms, max_degree):
-    if max_degree > _degree_cap:
+    degree_cap = _degree_cap()
+    if max_degree > degree_cap:
         raise ResourceLimitError(
-            f"polynomial degree {max_degree} exceeds cap {_degree_cap}"
+            f"polynomial degree {max_degree} exceeds cap {degree_cap}"
         )
-    if n_terms > _term_cap:
+    if n_terms > TERM_CAP:
         raise ResourceLimitError(
-            f"polynomial with {n_terms} terms exceeds cap {_term_cap}"
+            f"polynomial with {n_terms} terms exceeds cap {TERM_CAP}"
         )

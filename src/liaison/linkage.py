@@ -16,6 +16,7 @@ from .ideal_ops import (
     intersect_ideals,
     radical_membership,
 )
+from .limits import memo
 from .monomials import (
     associated_primes_monomial,
     cd_monomial,
@@ -98,16 +99,21 @@ def is_regular_sequence(xs, M):
 
 def validate_witness(witness, I, M):
     """Check that the witness generates I and is M-regular; raise otherwise."""
-    ring = M.ring
-    gen_ideal = Ideal(ring, witness.elements)
-    if not ideal_equal(gen_ideal, I):
-        raise WitnessError("witness elements do not generate the linking ideal")
+    key = (M.ring, witness.elements, I.gens_key(), M.defining_ideal.gens_key())
+    error = memo("witness", key, lambda: _witness_error(witness, I, M))
+    if error is not None:
+        raise WitnessError(error)
+
+
+def _witness_error(witness, I, M):
+    """Why the witness is invalid for I over M, or None when it is valid."""
+    if not ideal_equal(Ideal(M.ring, witness.elements), I):
+        return "witness elements do not generate the linking ideal"
     if witness.length == 0:
-        if not I.is_zero():
-            raise WitnessError("nonzero linking ideal with an empty witness")
-        return
+        return None if I.is_zero() else "nonzero linking ideal with an empty witness"
     if not is_regular_sequence(witness.elements, M):
-        raise WitnessError("witness is not an M-regular sequence")
+        return "witness is not an M-regular sequence"
+    return None
 
 
 def module_colon(I, a, M):

@@ -85,7 +85,7 @@ class PolyRing:
         """Canonical polynomial from (exponent tuple, coefficient) pairs.
 
         Collects duplicate monomials, drops zeros, sorts descending, and
-        enforces the global resource caps.
+        enforces the resource caps of the current run (see limits).
         """
         acc = {}
         field = self.field

@@ -80,9 +80,17 @@ def test_usage_error_exit_two(capsys):
 def test_degree_cap_exit_three(capsys):
     code = main(["run", str(CORPUS / "flagship.link"), "--degree-cap", "3"])
     assert code == 3
-    from liaison.limits import get_caps, DEFAULT_DEGREE_CAP
+    from liaison.errors import ResourceLimitError
+    from liaison.fields import QQ
+    from liaison.limits import DEFAULT_DEGREE_CAP, current_run
+    from liaison.rings import PolyRing
 
-    assert get_caps()[0] == DEFAULT_DEGREE_CAP  # restored afterwards
+    # outside a run the caps are the defaults again
+    assert current_run() is None
+    x = PolyRing(QQ, ["x"]).gens()[0]
+    assert (x**DEFAULT_DEGREE_CAP).total_degree() == DEFAULT_DEGREE_CAP
+    with pytest.raises(ResourceLimitError):
+        x ** (DEFAULT_DEGREE_CAP + 1)
 
 
 def test_degree_cap_zero_exit_two(capsys):

@@ -5,7 +5,7 @@ import pytest
 from conftest import random_polynomial, seeded
 from liaison.errors import ResourceLimitError, RingMismatchError
 from liaison.fields import GF, QQ, is_prime
-from liaison.limits import set_caps
+from liaison.limits import run_context
 from liaison.rings import PolyRing, poly_str
 
 
@@ -128,13 +128,10 @@ def test_ring_mismatch_raises(r2, r3):
 def test_resource_caps_abort():
     ring = PolyRing(QQ, ["x"])
     x = ring.gens()[0]
-    old = set_caps(degree=10)
-    try:
+    with run_context(degree=10):
         with pytest.raises(ResourceLimitError):
             x**11
         assert (x**10).total_degree() == 10
-    finally:
-        set_caps(*old)
 
 
 def test_homogeneity_and_constants(r2):
