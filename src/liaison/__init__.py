@@ -20,7 +20,6 @@ from .groebner import (
     FreeModuleElement,
     Ideal,
     ideal_membership,
-    ideal_product,
     ideal_sum,
     module_groebner_basis,
     reduce_normal_form,
@@ -54,7 +53,6 @@ __all__ = [
     "ideal_contains",
     "ideal_equal",
     "ideal_membership",
-    "ideal_product",
     "ideal_quotient",
     "intersect_ideals",
     "module_groebner_basis",

@@ -1,5 +1,5 @@
 """Buchberger engine over rows: normal forms, reduced Groebner bases of ideals
-and submodules, syzygies, and exact division.
+and submodules, and syzygies.
 
 A row is a tuple of polynomials ordered position over term, lower index
 first: a polynomial is a rank-1 row and a vector of R^r a rank-r row.  One
@@ -7,8 +7,9 @@ normal-form loop, one pair loop and one reduce pass serve every rank.  Pairs
 are selected by minimal lcm total degree with ties broken by pair index; the
 coprime-lcm (product) criterion applies in rank one and the chain criterion
 to same-position pairs in every rank, so bases come out deterministic for a
-fixed ring and order.  A reduced basis is cached on the Ideal value and, for
-one run (limits.run_context), on the ring and set of nonzero generators.
+fixed ring and order.  A reduced basis is memoized for one run
+(limits.run_context) on the ring and set of nonzero generators, and kept on
+the Ideal value that asked for it.
 """
 
 from bisect import insort
@@ -91,7 +92,7 @@ def _normal_form(ring, work, basis, shadows=None, shadow=None):
     divides it, or else moves to the remainder.  With shadows (one companion
     row per basis row), every step work -= t*basis[k] is mirrored as
     shadow -= t*shadows[k] on the term dicts in shadow: that mirroring turns
-    zero reductions into syzygies and division steps into quotients.
+    zero reductions into syzygies.
     """
     field = ring.field
     zero, one = field.zero, field.one
@@ -254,18 +255,6 @@ def reduce_normal_form(f, basis):
     return _normal_form(f.ring, _work((f,)), [(b,) for b in basis])[0]
 
 
-def exact_divide(f, g):
-    """The quotient f/g when g divides f exactly; raises ValueError otherwise."""
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    ring = _require_one_ring([f, g])
-    quotient = [{}]
-    rem = _normal_form(ring, _work((f,)), [(g,)], [(-ring.one,)], quotient)
-    if rem[0]:
-        raise ValueError("polynomial division is not exact")
-    return ring.poly(quotient[0].items())
-
-
 def reduced_groebner_basis(gens, ring=None):
     """The unique reduced, monic, auto-reduced basis, sorted by decreasing
     leading monomial.  Empty for the zero ideal; (1,) for the unit ideal."""
@@ -284,9 +273,15 @@ def reduced_groebner_basis(gens, ring=None):
 
 
 class Ideal:
-    """Finitely generated ideal with a write-once reduced-basis cache."""
+    """Finitely generated ideal with a write-once reduced-basis cache.
 
-    __slots__ = ("ring", "gens", "_gb", "_res")
+    The run memo also holds reduced bases, but a lookup there builds, hashes
+    and compares a key of all the generators; the slot makes repeated
+    groebner() calls on one Ideal, as membership tests make, a plain read.
+    The basis is a function of the generators, so the slot never goes stale.
+    """
+
+    __slots__ = ("ring", "gens", "_gb")
 
     def __init__(self, ring, gens):
         gens = tuple(gens)
@@ -296,7 +291,6 @@ class Ideal:
         self.ring = ring
         self.gens = gens
         self._gb = None
-        self._res = None
 
     def groebner(self):
         if self._gb is None:
@@ -334,12 +328,6 @@ def ideal_sum(I, J):
     if I.ring != J.ring:
         raise RingMismatchError("ideal sum across rings")
     return Ideal(I.ring, I.gens + J.gens)
-
-
-def ideal_product(I, J):
-    if I.ring != J.ring:
-        raise RingMismatchError("ideal product across rings")
-    return Ideal(I.ring, tuple(g * h for g in I.gens for h in J.gens))
 
 
 # -- free modules --------------------------------------------------------------

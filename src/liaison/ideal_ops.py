@@ -3,13 +3,15 @@ membership and equality, and exact ideal equality.
 
 Intersections eliminate one auxiliary variable appended after the ring's own
 variables, under a lex-over-grevlex block order; radical membership uses the
-inverted-element trick with the same auxiliary variable.  Within one run,
-intersections and quotients are memoized on the ring and the sets of nonzero
-generators, on whose ideals alone their results depend.
+inverted-element trick with the same auxiliary variable.  A quotient I : (f)
+is read off the syzygies of f and the generators of I; I : J intersects those
+over the generators of J.  Both return reduced bases, so within one run they
+are memoized on the ring and the sets of nonzero generators, on whose ideals
+alone their results depend.
 """
 
 from .errors import RingMismatchError
-from .groebner import Ideal, exact_divide, reduced_groebner_basis
+from .groebner import Ideal, reduced_groebner_basis, syzygy_module
 from .limits import memo
 from .rings import PolyRing
 
@@ -78,22 +80,21 @@ def _intersect(I, J):
 
 
 def _quotient_by_poly(I, f):
-    """I : (f) = (I intersect (f)) / f."""
-    ring = I.ring
-    inter = intersect_ideals(I, Ideal(ring, (f,)))
-    return Ideal(ring, tuple(exact_divide(g, f) for g in inter.gens))
+    """I : (f), the first coordinates of the syzygies of (f, g1, ..., gk)."""
+    gens = [f] + [g for g in I.gens if not g.is_zero()]
+    firsts = [s.coords[0] for s in syzygy_module(gens)]
+    return Ideal(I.ring, reduced_groebner_basis(firsts, I.ring))
 
 
 def ideal_quotient(I, J):
     """I : J = {f : f*J in I}, as the intersection of the I : (g) over the
-    generators of J.  Quotient by the zero ideal is rejected."""
+    distinct nonzero generators of J.  Quotient by the zero ideal is
+    rejected."""
     _check_same_ring(I, J)
-    gens = [g for g in J.gens if not g.is_zero()]
+    gens = list(dict.fromkeys(g for g in J.gens if not g.is_zero()))
     if not gens:
         raise ValueError("quotient by the zero ideal")
-    # One generator gives I : (f) as divided by f, several the reduced basis
-    # of an intersection, whatever their order or repetition.
-    key = (I.ring, I.gens_key(), frozenset(gens), len(gens) > 1)
+    key = (I.ring, I.gens_key(), J.gens_key())
     return memo("quotient", key, lambda: _quotient(I, gens))
 
 

@@ -22,7 +22,6 @@ from .monomials import (
     cd_monomial,
     intersect_primes,
     is_monomial_ideal,
-    krull_dim_monomial,
     minimalize_exponents,
     monomial_exponents,
     prime_ideal,
@@ -223,13 +222,12 @@ def cd_principal_cyclic(f, M):
 
 @dataclass(frozen=True)
 class InvariantRecord:
-    """Grade, cd (exact or interval), optional pd, and dim M for one (a, M)."""
+    """Grade, cd (exact or interval) and optional pd for one (a, M)."""
 
     grade: int
     cd_lower: int
     cd_upper: int
     pd: object = None
-    dim: int = 0
 
     @property
     def cd_exact(self):
@@ -270,10 +268,6 @@ def cd_bounds(a, M):
     if Ideal(ring, a.gens + J.gens).is_unit():
         raise ValueError("aM = M: cd is undefined")
     grade = grade_via_ext(a, M)
-    try:
-        dim = krull_dim_monomial(J)
-    except ValueError:
-        dim = ring.dim
     exact = cd_oracle(a, M)
     if exact is not None:
         lo = hi = exact
@@ -283,7 +277,7 @@ def cd_bounds(a, M):
     pd = None
     if M.is_free() and all(g.is_homogeneous() for g in a.gens):
         pd = pd_via_resolution(a)
-    return InvariantRecord(grade=grade, cd_lower=lo, cd_upper=hi, pd=pd, dim=dim)
+    return InvariantRecord(grade=grade, cd_lower=lo, cd_upper=hi, pd=pd)
 
 
 @dataclass(frozen=True)

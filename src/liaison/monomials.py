@@ -368,15 +368,14 @@ def cd_monomial(a):
 def ext_nonvanishing_degrees(a):
     """{i : Ext^i(R/a, R) != 0} for squarefree monomial a; for such ideals
     this is also the set of degrees where local cohomology of R survives."""
-    from .resolutions import ext_nonzero, free_resolution
+    from .resolutions import nonzero_ext_degrees
 
     for m in monomial_exponents(a):
         if any(e > 1 for e in m):
             raise ValueError("not a squarefree monomial ideal")
     if a.is_zero() or a.is_unit():
         raise ValueError("need a proper nonzero ideal")
-    res = free_resolution(a)
-    return {i for i in range(res.length + 1) if ext_nonzero(i, a, None)}
+    return set(nonzero_ext_degrees(a))
 
 
 def krull_dim_monomial(J):

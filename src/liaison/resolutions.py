@@ -1,14 +1,17 @@
-"""Free resolutions, presented modules, Ext against cyclic modules, grade,
-and projective dimension.
+"""Free resolutions, Ext against cyclic modules, grade, and projective
+dimension.
 
 Resolutions are built by iterated syzygy computation; unit (nonzero constant)
 entries are pruned as they appear, which splits off trivial exact summands and
 keeps the Hilbert length bound enforceable.  On homogeneous input the pruned
 resolution is minimal.  Ext^i(R/a, R/J) is read off the transposed resolution
-of R/a with kernels taken relative to J-multiples.
+of R/a with kernels taken relative to J-multiples.  Within one run
+(limits.run_context), resolutions are memoized on the ring and the ordered
+distinct nonzero generators, on which their matrices depend, and Ext answers
+on the ring, the sets of nonzero generators of a and J, and the degree.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .groebner import (
     FreeModuleElement,
@@ -18,35 +21,10 @@ from .groebner import (
     syzygy_module,
     unit_vector,
 )
+from .limits import memo
 
 
 @dataclass(frozen=True)
-class PresentedModule:
-    """Cokernel of the map sending relation generators into R^rank."""
-
-    ring: object
-    rank: int
-    relations: tuple
-
-    def __post_init__(self):
-        for rel in self.relations:
-            if rel.rank != self.rank:
-                raise ValueError("relation rank does not match the module")
-
-
-def is_zero_module(N):
-    """True iff every unit coordinate vector lies in the relation submodule."""
-    if N.rank == 0:
-        return True
-    gb = module_groebner_basis(list(N.relations))
-    for pos in range(N.rank):
-        e = unit_vector(N.ring, N.rank, pos)
-        if not module_normal_form(e, gb).is_zero():
-            return False
-    return True
-
-
-@dataclass
 class FreeResolution:
     """Chain of free modules F_0 <- F_1 <- ... resolving R/a.
 
@@ -57,22 +35,10 @@ class FreeResolution:
     ring: object
     ranks: tuple
     diffs: tuple
-    minimal: bool = False
-    _ext_cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     @property
     def length(self):
         return len(self.diffs)
-
-
-def _apply_columns(cols, vec):
-    """Image of vec under the map whose columns are cols."""
-    ring = vec.ring
-    acc = [ring.zero] * (cols[0].rank if cols else 0)
-    for coeff_poly, col in zip(vec.coords, cols):
-        if not coeff_poly.is_zero():
-            acc = [a + coeff_poly * b for a, b in zip(acc, col.coords)]
-    return FreeModuleElement(ring, acc)
 
 
 def _prune_units(prev_cols, cols, ring):
@@ -80,15 +46,13 @@ def _prune_units(prev_cols, cols, ring):
     entry.
 
     cols is a mutable list of mutable coordinate lists (the columns of
-    d_{i+1}); prev_cols the columns of d_i or None.  A unit at (row r,
+    d_{i+1}); prev_cols the columns of d_i.  A unit at (row r,
     column c) makes every other column b lose (b[r]/u) * column c, after
     which row r, column c, and column r of the previous matrix are dead.
     Dead rows and columns are only marked during elimination and compacted
     once at the end, which keeps the whole pass near-linear in the number of
     nonzero entries.
     """
-    if not cols:
-        return prev_cols, cols
     field = ring.field
     rank = len(cols[0])
     dead_col = [False] * len(cols)
@@ -130,10 +94,7 @@ def _prune_units(prev_cols, cols, ring):
     new_cols = [
         [col[r] for r in live_rows] for c, col in enumerate(cols) if not dead_col[c]
     ]
-    new_prev = prev_cols
-    if prev_cols is not None:
-        new_prev = [prev_cols[r] for r in live_rows]
-    return new_prev, new_cols
+    return [prev_cols[r] for r in live_rows], new_cols
 
 
 def free_resolution(a, minimal=False):
@@ -143,20 +104,14 @@ def free_resolution(a, minimal=False):
     homogeneous (constant-free then means minimal).  Exceeding the Hilbert
     length bound would be an internal defect and aborts loudly.
     """
-    ring = a.ring
-    if a._res is not None:
-        res = a._res
-        if minimal and not res.minimal:
-            raise ValueError("minimal resolution requires homogeneous generators")
-        return res
-    gens = []
-    for g in a.gens:
-        if g.is_zero() or g in gens:
-            continue
-        gens.append(g)
-    homogeneous = all(g.is_homogeneous() for g in gens)
-    if minimal and not homogeneous:
+    gens = tuple(dict.fromkeys(g for g in a.gens if not g.is_zero()))
+    if minimal and not all(g.is_homogeneous() for g in gens):
         raise ValueError("minimal resolution requires homogeneous generators")
+    return memo("resolution", (a.ring, gens), lambda: _resolve(a, gens))
+
+
+def _resolve(a, gens):
+    ring = a.ring
     if any(g.is_constant() for g in gens) or a.is_unit():
         raise ValueError("cannot resolve the zero module R/(1)")
 
@@ -182,17 +137,14 @@ def free_resolution(a, minimal=False):
             diffs.pop()
 
     ranks = [1] + [len(cols) for cols in diffs]
-    res = FreeResolution(
+    return FreeResolution(
         ring,
         tuple(ranks),
         tuple(
             tuple(FreeModuleElement(ring, tuple(col)) for col in cols)
             for cols in diffs
         ),
-        minimal=homogeneous,
     )
-    a._res = res
-    return res
 
 
 def pd_via_resolution(a):
@@ -265,48 +217,31 @@ def ext_nonzero(i, a, M=None):
     """Is Ext^i(R/a, M) nonzero, for cyclic M = R/J (None means M = R)?"""
     if i < 0:
         raise ValueError("negative Ext degree")
-    J = _module_relations(M)
-    res = free_resolution(a)
+    return _ext_nonzero(free_resolution(a), i, a, _module_relations(M))
+
+
+def _ext_nonzero(res, i, a, J):
+    """Ext^i(R/a, R/J) != 0, read off res, a resolution of R/a."""
     if i > res.length:
         return False
-    jkey = (i, None if J is None else J.groebner())
-    cached = res._ext_cache.get(jkey)
-    if cached is not None:
-        return cached
+    key = (a.ring, a.gens_key(), frozenset() if J is None else J.gens_key(), i)
+    return memo("ext", key, lambda: _ext_survives(res, i, J))
+
+
+def _ext_survives(res, i, J):
     kernel = _relative_kernel(res, i, J)
     image = _image_basis(res, i, J)
-    answer = False
-    for v in kernel:
-        if not module_normal_form(v, image).is_zero() if image else not v.is_zero():
-            answer = True
-            break
-    res._ext_cache[jkey] = answer
-    return answer
+    return any(
+        not (module_normal_form(v, image) if image else v).is_zero() for v in kernel
+    )
 
 
-def ext_presented(i, a, M=None):
-    """Ext^i(R/a, M) as a presented module on the relative-kernel generators."""
-    if i < 0:
-        raise ValueError("negative Ext degree")
+def nonzero_ext_degrees(a, M=None):
+    """The degrees i with Ext^i(R/a, M) != 0, ascending and lazily, all read
+    off one resolution of R/a."""
     J = _module_relations(M)
     res = free_resolution(a)
-    ring = res.ring
-    if i > res.length:
-        return PresentedModule(ring, 0, ())
-    kernel = _relative_kernel(res, i, J)
-    if not kernel:
-        return PresentedModule(ring, 0, ())
-    b_i = res.ranks[i]
-    image_gens = []
-    if i >= 1:
-        image_gens = [_transpose_column(res, i, r) for r in range(res.ranks[i - 1])]
-    tagged = kernel + image_gens + _j_unit_vectors(ring, b_i, J)
-    relations = []
-    for syz in syzygy_module(tagged):
-        head = FreeModuleElement(ring, syz.coords[: len(kernel)])
-        if not head.is_zero():
-            relations.append(head)
-    return PresentedModule(ring, len(kernel), tuple(relations))
+    return (i for i in range(res.length + 1) if _ext_nonzero(res, i, a, J))
 
 
 def grade_via_ext(a, M=None):
@@ -316,8 +251,6 @@ def grade_via_ext(a, M=None):
     total_gens = list(a.gens) + (list(J.gens) if J is not None else [])
     if Ideal(ring, tuple(total_gens)).is_unit():
         raise ValueError("grade is undefined: the ideal acts as the unit on M")
-    res = free_resolution(a)
-    for i in range(res.length + 1):
-        if ext_nonzero(i, a, M):
-            return i
+    for grade in nonzero_ext_degrees(a, M):
+        return grade
     raise AssertionError("every Ext degree vanished below the resolution length")

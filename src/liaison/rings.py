@@ -139,7 +139,7 @@ class PolyRing:
 class Polynomial:
     """Immutable sparse polynomial; terms strictly decreasing in the ring order."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_hash")
 
     def __init__(self, ring, terms):
         # Trusted constructor: terms must already be canonical.  Use
@@ -166,17 +166,6 @@ class Polynomial:
             return True
         degs = {sum(e) for e, _ in self.terms}
         return len(degs) == 1
-
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e, _ in self.terms)
-
-    def leading_term(self):
-        """Greatest (exponent tuple, coefficient) under the ring order."""
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading term")
-        return self.terms[0]
 
     def constant_coeff(self):
         zero_exps = (0,) * self.ring.nvars
@@ -261,7 +250,13 @@ class Polynomial:
         )
 
     def __hash__(self):
-        return hash((self.ring, self.terms))
+        # Memo keys hash the same generators again and again; a QQ
+        # coefficient is a Fraction, whose hash takes a modular inverse.
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.ring, self.terms))
+            return self._hash
 
     def __repr__(self):
         return poly_str(self)

@@ -1,6 +1,6 @@
 """Differential and property tests for the row engine in groebner.py: reduced
-bases against sympy, module bases under shuffled generators, syzygies of
-rank-2 vectors, and exact division."""
+bases against sympy, module bases under shuffled generators, and syzygies of
+rank-2 vectors."""
 
 from fractions import Fraction
 
@@ -10,7 +10,6 @@ from conftest import random_polynomial, seeded
 from liaison.fields import GF, QQ
 from liaison.groebner import (
     FreeModuleElement,
-    exact_divide,
     module_groebner_basis,
     reduced_groebner_basis,
     syzygy_module,
@@ -114,20 +113,3 @@ def test_rank_two_syzygies_are_exact_relations(field, order):
                     total = total + coeff * g.coords[pos]
                 assert total.is_zero()
 
-
-@pytest.mark.parametrize("field,order", FIELDS_AND_ORDERS)
-def test_exact_divide(field, order):
-    ring = _ring(field, order)
-    x = ring.gen(0)
-    rng = seeded(59)
-    for _ in range(15):
-        f = random_polynomial(rng, ring)
-        g = random_polynomial(rng, ring)
-        assert exact_divide(f * g, g) == f
-        if not g.is_constant():
-            with pytest.raises(ValueError):
-                exact_divide(f * g + ring.one, g)
-    with pytest.raises(ValueError):
-        exact_divide(x + ring.one, x)
-    with pytest.raises(ZeroDivisionError):
-        exact_divide(x, ring.zero)

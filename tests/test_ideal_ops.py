@@ -1,7 +1,8 @@
 import pytest
 
-from conftest import random_monomial_ideal, seeded
-from liaison.groebner import Ideal, exp_divides, ideal_product
+from conftest import random_monomial_ideal, random_polynomial, seeded
+from liaison.fields import GF, QQ
+from liaison.groebner import Ideal, exp_divides
 from liaison.ideal_ops import (
     ideal_contains,
     ideal_equal,
@@ -11,6 +12,11 @@ from liaison.ideal_ops import (
     radicals_equal,
     saturate,
 )
+from liaison.rings import PolyRing
+
+
+def _product(I, J):
+    return Ideal(I.ring, tuple(g * h for g in I.gens for h in J.gens))
 
 
 def test_intersection_examples(r2, r4):
@@ -104,6 +110,23 @@ def test_quotient_product_containment(r3):
                 assert I.contains(q * j)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_syzygy_colon_matches_elimination(field):
+    # (I : f) * f = I cap (f), with the intersection by elimination, so the
+    # oracle shares no syzygy computation with the colon under test
+    ring = PolyRing(field, ["x", "y", "z"])
+    rng = seeded(61)
+    checked = 0
+    while checked < 12:
+        gens = [random_polynomial(rng, ring, max_degree=2, max_terms=3) for _ in range(2)]
+        f = random_polynomial(rng, ring, max_degree=2, max_terms=2)
+        if len(f.terms) < 2 or all(g.is_monomial() for g in gens):
+            continue
+        I, F = Ideal(ring, tuple(gens)), Ideal(ring, (f,))
+        assert ideal_equal(_product(ideal_quotient(I, F), F), intersect_ideals(I, F))
+        checked += 1
+
+
 def test_colon_associativity_on_seeded_monomials(r3):
     rng = seeded(43)
     for _ in range(25):
@@ -111,7 +134,7 @@ def test_colon_associativity_on_seeded_monomials(r3):
         J = random_monomial_ideal(rng, r3, max_gens=2)
         K = random_monomial_ideal(rng, r3, max_gens=2)
         lhs = ideal_quotient(ideal_quotient(I, J), K)
-        rhs = ideal_quotient(I, ideal_product(J, K))
+        rhs = ideal_quotient(I, _product(J, K))
         assert ideal_equal(lhs, rhs)
 
 

@@ -192,7 +192,6 @@ def test_cd_bounds_examples(r2, flag):
     assert record.grade == 2
     assert record.cd_exact == 3
     assert record.pd == 3
-    assert record.dim == 4
 
     x, y = r2.gens()
     M2 = free_module(r2)

@@ -1,8 +1,9 @@
 import pytest
 
 from conftest import random_monomial_ideal, seeded
+from liaison import resolutions
 from liaison.fields import QQ
-from liaison.groebner import FreeModuleElement, Ideal, unit_vector
+from liaison.groebner import FreeModuleElement, Ideal
 from liaison.linkage import CyclicModule, free_module
 from liaison.monomials import (
     associated_primes_monomial,
@@ -10,13 +11,9 @@ from liaison.monomials import (
     monomial_radical,
 )
 from liaison.resolutions import (
-    PresentedModule,
-    _apply_columns,
     ext_nonzero,
-    ext_presented,
     free_resolution,
     grade_via_ext,
-    is_zero_module,
     pd_via_resolution,
 )
 from liaison.rings import PolyRing
@@ -33,6 +30,15 @@ def test_resolution_examples(r2, flagship):
     assert free_resolution(Ideal(r2, (x,)), minimal=True).ranks == (1, 1)
     assert free_resolution(Ideal(r2, (x, y)), minimal=True).ranks == (1, 2, 1)
     assert free_resolution(flagship, minimal=True).ranks == (1, 4, 4, 1)
+
+
+def _apply_columns(cols, vec):
+    """Image of vec under the map whose columns are cols."""
+    ring = vec.ring
+    acc = [ring.zero] * cols[0].rank
+    for coeff, col in zip(vec.coords, cols):
+        acc = [a + coeff * b for a, b in zip(acc, col.coords)]
+    return FreeModuleElement(ring, acc)
 
 
 def test_resolution_composition_zero(r3, flagship):
@@ -81,18 +87,6 @@ def test_pd_examples(r2, flagship):
     assert pd_via_resolution(flagship) == 3
 
 
-def test_is_zero_module_examples(r2):
-    x, y = r2.gens()
-    identity = PresentedModule(r2, 2, (unit_vector(r2, 2, 0), unit_vector(r2, 2, 1)))
-    assert is_zero_module(identity)
-    koszul_c = PresentedModule(
-        r2, 1, (unit_vector(r2, 1, 0, x), unit_vector(r2, 1, 0, y))
-    )
-    assert not is_zero_module(koszul_c)
-    ext1 = ext_presented(1, Ideal(r2, (x, y)))
-    assert is_zero_module(ext1)
-
-
 def test_ext_nonzero_examples(r2):
     x, y = r2.gens()
     m = Ideal(r2, (x, y))
@@ -110,6 +104,22 @@ def test_grade_examples(r2, flagship):
     torsion = CyclicModule(r2, Ideal(r2, (x * y,)))
     assert grade_via_ext(Ideal(r2, (x,)), torsion) == 0
     assert grade_via_ext(flagship, None) == 2
+
+
+def test_grade_outside_a_run_resolves_once(monkeypatch, flagship):
+    calls = []
+    resolve = resolutions._resolve
+
+    def counted(*args):
+        calls.append(args)
+        return resolve(*args)
+
+    monkeypatch.setattr(resolutions, "_resolve", counted)
+    assert grade_via_ext(flagship, None) == 2
+    assert len(calls) == 1
+    # outside a run nothing is cached: a second call resolves again
+    grade_via_ext(flagship, None)
+    assert len(calls) == 2
 
 
 def test_grade_rejected_when_a_acts_as_unit(r2):

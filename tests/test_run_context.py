@@ -15,6 +15,7 @@ from liaison.groebner import Ideal, reduced_groebner_basis
 from liaison.ideal_ops import ideal_quotient, intersect_ideals
 from liaison.instancefile import parse_instance
 from liaison.linkage import CyclicModule, RegularSequenceWitness, validate_witness
+from liaison.resolutions import ext_nonzero, free_resolution
 
 FLAGSHIP = Path(__file__).resolve().parent.parent / "corpus" / "flagship.link"
 
@@ -129,9 +130,14 @@ def _fresh(kind, key):
         ring, I, J = key
         return intersect_ideals(Ideal(ring, I), Ideal(ring, J)).gens
     if kind == "quotient":
-        ring, I, J, several = key
-        J = tuple(J) * (2 if several and len(J) == 1 else 1)
+        ring, I, J = key
         return ideal_quotient(Ideal(ring, I), Ideal(ring, J)).gens
+    if kind == "resolution":
+        ring, gens = key
+        return free_resolution(Ideal(ring, gens))
+    if kind == "ext":
+        ring, a, J, i = key
+        return ext_nonzero(i, Ideal(ring, a), Ideal(ring, J))
     ring, elements, I, J = key
     try:
         validate_witness(
@@ -155,15 +161,15 @@ def test_memo_is_transparent_and_deterministic(monkeypatch):
             if kind in ("intersect", "quotient"):
                 value = value.gens
             assert value == _fresh(kind, key), (kind, key)
-    assert kinds == {"gb", "intersect", "quotient", "witness"}
+    assert kinds == {"gb", "intersect", "quotient", "witness", "resolution", "ext"}
 
 
 def test_memo_keys_keep_apart_what_computation_does(r3):
     x, y, z = r3.gens()
     I, f = Ideal(r3, (x**2,)), x.scale(r3.field.of(2))
-    # I : (2x) is x/2 as divided; I : (2x, 2x) the reduced basis (x)
+    # one key for I : (2x) and I : (2x, 2x), and one reduced basis (x)
     fresh = [ideal_quotient(I, Ideal(r3, J)).gens for J in ((f,), (f, f))]
-    assert fresh[0] != fresh[1]
+    assert fresh[0] == fresh[1] == (x,)
     # x, y(1-x), z(1-x) is R-regular; in the order y(1-x), z(1-x), x it is not
     one = r3.one
     seq = (x, y * (one - x), z * (one - x))
