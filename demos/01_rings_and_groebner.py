@@ -36,8 +36,8 @@ print("x^2 - y^2 in (x - y):", I.contains(x**2 - y**2))
 
 print()
 print("# syzygies: the relations among generators")
-print("syz(x, y) =", syzygy_module([x, y]))
-print("syz(x^2, x*y) =", syzygy_module([x**2, x * y]))
+print("syz(x, y) =", syzygy_module([(x,), (y,)]))
+print("syz(x^2, x*y) =", syzygy_module([(x**2,), (x * y,)]))
 
 print()
 print("# the same machinery over a prime field")

@@ -39,7 +39,7 @@ print()
 print("# route one: restriction cohomology")
 print("pd via restrictions:", hochster_pd(union_of_planes))
 print("# route two: the minimal free resolution")
-res = free_resolution(union_of_planes, minimal=True)
+res = free_resolution(union_of_planes)
 print("resolution ranks:", res.ranks)
 print("pd via resolution:", pd_via_resolution(union_of_planes))
 

@@ -17,7 +17,6 @@ from .errors import (
 )
 from .fields import GF, QQ
 from .groebner import (
-    FreeModuleElement,
     Ideal,
     ideal_membership,
     ideal_sum,
@@ -41,7 +40,6 @@ from .rings import Polynomial, PolyRing
 __all__ = [
     "GF",
     "QQ",
-    "FreeModuleElement",
     "Ideal",
     "LiaisonError",
     "ParseError",

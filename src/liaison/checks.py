@@ -449,11 +449,11 @@ def _all_radical_monomial_ideals(ring):
     return ideals
 
 
-def check_aprime(inst, alternate_I=None, alternate_witness=None):
+def check_aprime(inst, alternate=None):
     """The smallest-radical-fixed-ideal construction: containment, double-colon
-    fixedness, radicality, independence of the linking ideal, brute-force
-    minimality in small rings, and the radical identity on linked radical
-    instances."""
+    fixedness, radicality, independence of the linking ideal (against
+    alternate, an (ideal, witness) pair), brute-force minimality in small
+    rings, and the radical identity on linked radical instances."""
     M = inst.module
     ring = inst.ring
     J = M.defining_ideal
@@ -484,10 +484,9 @@ def check_aprime(inst, alternate_I=None, alternate_witness=None):
     details["radical"] = radical_ok
     ok = ok and radical_ok
 
-    if alternate_I is not None:
-        if alternate_witness is None:
-            alternate_witness = RegularSequenceWitness(alternate_I.gens)
-        ap_alt = aprime_construct(inst.a, alternate_I, M, alternate_witness)
+    if alternate is not None:
+        alt_I, alt_witness = alternate
+        ap_alt = aprime_construct(inst.a, alt_I, M, alt_witness)
         same = ideal_equal(ap_alt, ap)
         details["alternate_I_same_aprime"] = same
         ok = ok and same
@@ -726,9 +725,7 @@ def run_suite(parsed):
             inst = parsed.instance_for(directive)
             kwargs = {}
             if directive.check is CheckId.APRIME_T7:
-                alt = parsed.alternate_for(directive)
-                if alt is not None:
-                    kwargs = {"alternate_I": alt[0], "alternate_witness": alt[1]}
+                kwargs = {"alternate": parsed.alternate_for(directive)}
             tasks.append((directive.check, (inst,), kwargs))
     with limits.run_context():
         return [run_check(cid, *args, **kw) for cid, args, kw in tasks]

@@ -2,14 +2,16 @@
 and submodules, and syzygies.
 
 A row is a tuple of polynomials ordered position over term, lower index
-first: a polynomial is a rank-1 row and a vector of R^r a rank-r row.  One
-normal-form loop, one pair loop and one reduce pass serve every rank.  Pairs
-are selected by minimal lcm total degree with ties broken by pair index; the
-coprime-lcm (product) criterion applies in rank one and the chain criterion
-to same-position pairs in every rank, so bases come out deterministic for a
-fixed ring and order.  A reduced basis is memoized for one run
-(limits.run_context) on the ring and set of nonzero generators, and kept on
-the Ideal value that asked for it.
+first: a polynomial is a rank-1 row and a vector of R^r a rank-r row, and
+rows are the only module type, in and out.  One normal-form loop, one pair
+loop and one reduce pass serve every rank.  Pairs are selected by minimal lcm
+total degree with ties broken by pair index; the coprime-lcm (product)
+criterion applies in rank one when no shadows are tracked and the chain
+criterion to same-position pairs in every rank, so bases come out
+deterministic for a fixed ring and order.  Syzygies are read off the pair
+loop: the shadows of the pairs it reduces to zero.  A reduced basis is
+memoized for one run (limits.run_context) on the ring and set of nonzero
+generators, and kept on the Ideal value that asked for it.
 """
 
 from bisect import insort
@@ -17,7 +19,6 @@ from operator import add, le, sub as minus
 
 from .errors import RingMismatchError
 from .limits import memo
-from .rings import Polynomial
 
 # -- exponent-tuple helpers --------------------------------------------------
 
@@ -163,13 +164,18 @@ def buchberger(ring, rows, shadows=None):
     generated by rows: nonzero rows of one ring and rank.
 
     With shadows (one row per input), every basis row carries the same
-    combination of shadows as it is of the inputs; returns (basis, shadow
-    rows), the latter None when not tracked.
+    combination of shadows as it is of the inputs, and so does the S-row
+    reduction of every pair that reduces to zero.  With the unit rows as
+    shadows, those combinations are syzygies of the inputs, and by Schreyer's
+    theorem the pairs the loop reduces yield a generating set; the product
+    criterion would drop the Koszul syzygies, so it applies only without
+    shadows.  Returns (basis, the nonzero syzygies), the latter None without
+    shadows.
     """
     rank = len(rows[0])
     field = ring.field
     G, leads, pending, queue = [], [], set(), []
-    X = None if shadows is None else []
+    X, syzygies = (None, None) if shadows is None else ([], [])
 
     def append(row, shadow):
         pos, lm, lc = _lead(row)
@@ -195,7 +201,7 @@ def buchberger(ring, rows, shadows=None):
         _, i, j, lcm = queue.pop(0)
         pending.remove((i, j))
         pos, lmi = leads[i]
-        if rank == 1 and exp_coprime(lmi, leads[j][1]):
+        if rank == 1 and X is None and exp_coprime(lmi, leads[j][1]):
             continue  # product criterion
         if any(
             kpos == pos
@@ -208,9 +214,12 @@ def buchberger(ring, rows, shadows=None):
         ):
             continue  # chain criterion: both other pairs treated
         rem, comp = _reduce_pair(ring, G, X, i, j)
+        shadow = None if comp is None else _row(ring, comp)
         if _lead(rem) is not None:
-            append(rem, None if comp is None else _row(ring, comp))
-    return G, X
+            append(rem, shadow)
+        elif shadow is not None and _lead(shadow) is not None:
+            syzygies.append(shadow)
+    return G, syzygies
 
 
 def _reduce(ring, G):
@@ -333,109 +342,55 @@ def ideal_sum(I, J):
 # -- free modules --------------------------------------------------------------
 
 
-class FreeModuleElement:
-    """Element of R^r under position-over-term order, lower index first."""
-
-    __slots__ = ("ring", "coords")
-
-    def __init__(self, ring, coords):
-        coords = tuple(coords)
-        for c in coords:
-            if c.ring != ring:
-                raise RingMismatchError("coordinate from a different ring")
-        self.ring = ring
-        self.coords = coords
-
-    @property
-    def rank(self):
-        return len(self.coords)
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coords)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FreeModuleElement)
-            and self.ring == other.ring
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.coords))
-
-    def __repr__(self):
-        return "(" + ", ".join(repr(c) for c in self.coords) + ")"
-
-
 def unit_vector(ring, rank, pos, poly=None):
-    coords = [ring.zero] * rank
-    coords[pos] = ring.one if poly is None else poly
-    return FreeModuleElement(ring, coords)
+    """The row of R^rank with poly (default 1) at pos and zeros elsewhere."""
+    row = [ring.zero] * rank
+    row[pos] = ring.one if poly is None else poly
+    return tuple(row)
 
 
-def _rows(gens):
-    """(ring, rows) of polynomials or free-module elements of one ring and
-    rank; ring is None when gens is empty."""
-    ring, rank, rows = None, None, []
-    for g in gens:
-        if isinstance(g, FreeModuleElement):
-            row = g.coords
-        elif isinstance(g, Polynomial):
-            row = (g,)
-        else:
-            raise TypeError("expected polynomials or free-module elements")
-        if ring is None:
-            ring, rank = g.ring, len(row)
-        elif len(row) != rank:
+def _rows(rows):
+    """(ring, rows) of rows of one ring and rank; ring is None when rows is
+    empty."""
+    rows = [tuple(row) for row in rows]
+    ring = rows[0][0].ring if rows else None
+    for row in rows:
+        if len(row) != len(rows[0]):
             raise ValueError("rank mismatch between module generators")
-        elif g.ring != ring:
+        if any(p.ring != ring for p in row):
             raise RingMismatchError("module generators from different rings")
-        rows.append(row)
     return ring, rows
 
 
 def module_normal_form(v, basis):
-    """Normal form of v against basis under position-over-term order."""
+    """Normal form of the row v against basis under position-over-term
+    order."""
     ring, rows = _rows([v, *basis])
-    return FreeModuleElement(ring, _normal_form(ring, _work(rows[0]), rows[1:]))
+    return _normal_form(ring, _work(rows[0]), rows[1:])
 
 
 def module_groebner_basis(gens):
-    """Reduced Groebner basis of the submodule of R^r generated by gens."""
+    """Reduced Groebner basis, as rows, of the submodule of R^r generated by
+    the rows gens."""
     ring, rows = _rows(gens)
     rows = [row for row in rows if _lead(row) is not None]
     if not rows:
         return []
     G, _ = buchberger(ring, rows)
-    return [FreeModuleElement(ring, row) for row in _reduce(ring, G)]
+    return _reduce(ring, G)
 
 
 def syzygy_module(gens):
-    """Generators of the full syzygy module of gens.
-
-    Runs Buchberger with the unit vectors as shadows, then reduces the
-    S-row of every same-position pair of the finished basis to zero; the
-    shadows of those zero reductions generate all relations.  Zero input
-    generators contribute their unit syzygies.
-    """
+    """Generators, as rows, of the full syzygy module of the rows gens: the
+    unit row of every zero generator and the syzygies that Buchberger, run
+    with the unit rows as shadows, reads off its zero reductions."""
     ring, rows = _rows(gens)
     units = [unit_vector(ring, len(rows), idx) for idx in range(len(rows))]
     syzygies = [units[idx] for idx, row in enumerate(rows) if _lead(row) is None]
     nonzero = [idx for idx, row in enumerate(rows) if _lead(row) is not None]
-    if not nonzero:
-        return syzygies
-    G, X = buchberger(
-        ring, [rows[i] for i in nonzero], [units[i].coords for i in nonzero]
-    )
-    positions = [_lead(g)[0] for g in G]
-    for j in range(len(G)):
-        for i in range(j):
-            if positions[i] != positions[j]:
-                continue
-            rem, comp = _reduce_pair(ring, G, X, i, j)
-            if _lead(rem) is not None:
-                raise AssertionError("S-pair of a completed basis did not vanish")
-            comp = FreeModuleElement(ring, _row(ring, comp))
-            if not comp.is_zero():
-                syzygies.append(comp)
+    if nonzero:
+        _, found = buchberger(
+            ring, [rows[i] for i in nonzero], [units[i] for i in nonzero]
+        )
+        syzygies.extend(found)
     return syzygies

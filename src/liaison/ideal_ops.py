@@ -81,8 +81,8 @@ def _intersect(I, J):
 
 def _quotient_by_poly(I, f):
     """I : (f), the first coordinates of the syzygies of (f, g1, ..., gk)."""
-    gens = [f] + [g for g in I.gens if not g.is_zero()]
-    firsts = [s.coords[0] for s in syzygy_module(gens)]
+    gens = [(f,)] + [(g,) for g in I.gens if not g.is_zero()]
+    firsts = [s[0] for s in syzygy_module(gens)]
     return Ideal(I.ring, reduced_groebner_basis(firsts, I.ring))
 
 

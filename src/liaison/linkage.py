@@ -292,8 +292,6 @@ class LinkageInstance:
     witness: RegularSequenceWitness
     b: Ideal = None
     name: str = ""
-    expect_geometric: bool = False
-    expect_selflinked: bool = False
 
     def partner(self):
         """b when declared, else the double-colon candidate."""

@@ -16,6 +16,7 @@ runs to end of line.
 from .errors import ParseError
 
 SYMBOLS = "+-*/^=,;()[]"
+DIGITS = "0123456789"  # ASCII only: str.isdigit admits superscripts and other scripts
 
 
 class Token:
@@ -51,9 +52,9 @@ def tokenize(text):
                 i += 1
             continue
         start_col = col
-        if ch.isdigit():
+        if ch in DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in DIGITS:
                 j += 1
             tokens.append(Token("int", int(text[i:j]), line, start_col))
             col += j - i

@@ -14,7 +14,6 @@ on the ring, the sets of nonzero generators of a and J, and the degree.
 from dataclasses import dataclass
 
 from .groebner import (
-    FreeModuleElement,
     Ideal,
     module_groebner_basis,
     module_normal_form,
@@ -28,7 +27,7 @@ from .limits import memo
 class FreeResolution:
     """Chain of free modules F_0 <- F_1 <- ... resolving R/a.
 
-    diffs[i] holds the columns of d_{i+1} as vectors in R^{ranks[i]};
+    diffs[i] holds the columns of d_{i+1} as rows of R^{ranks[i]};
     consecutive maps compose to zero exactly.
     """
 
@@ -97,16 +96,14 @@ def _prune_units(prev_cols, cols, ring):
     return [prev_cols[r] for r in live_rows], new_cols
 
 
-def free_resolution(a, minimal=False):
+def free_resolution(a):
     """Finite free resolution of R/a, length at most the number of variables.
 
-    Unit entries are always pruned; with minimal=True the input must be
-    homogeneous (constant-free then means minimal).  Exceeding the Hilbert
-    length bound would be an internal defect and aborts loudly.
+    Unit entries are pruned, so on homogeneous input the resolution is
+    minimal.  Exceeding the Hilbert length bound would be an internal defect
+    and aborts loudly.
     """
     gens = tuple(dict.fromkeys(g for g in a.gens if not g.is_zero()))
-    if minimal and not all(g.is_homogeneous() for g in gens):
-        raise ValueError("minimal resolution requires homogeneous generators")
     return memo("resolution", (a.ring, gens), lambda: _resolve(a, gens))
 
 
@@ -119,11 +116,10 @@ def _resolve(a, gens):
     if gens:
         diffs.append([[g] for g in gens])
         while True:
-            vectors = [FreeModuleElement(ring, tuple(col)) for col in diffs[-1]]
-            syz = syzygy_module(vectors)
+            syz = syzygy_module(diffs[-1])
             if not syz:
                 break
-            cols = [list(v.coords) for v in syz]
+            cols = [list(v) for v in syz]
             prev, cols = _prune_units(diffs[-1], cols, ring)
             diffs[-1] = prev
             if not cols:
@@ -138,18 +134,15 @@ def _resolve(a, gens):
 
     ranks = [1] + [len(cols) for cols in diffs]
     return FreeResolution(
-        ring,
-        tuple(ranks),
-        tuple(
-            tuple(FreeModuleElement(ring, tuple(col)) for col in cols)
-            for cols in diffs
-        ),
+        ring, tuple(ranks), tuple(tuple(map(tuple, cols)) for cols in diffs)
     )
 
 
 def pd_via_resolution(a):
     """Length of the minimal free resolution of R/a (homogeneous a)."""
-    return free_resolution(a, minimal=True).length
+    if not all(g.is_homogeneous() for g in a.gens):
+        raise ValueError("minimal resolution requires homogeneous generators")
+    return free_resolution(a).length
 
 
 # -- Ext against cyclic modules -------------------------------------------------
@@ -166,10 +159,9 @@ def _module_relations(M):
 
 
 def _transpose_column(res, i, r):
-    """Row r of d_i viewed as a vector in R^{ranks[i]} (a column of the
-    transposed map)."""
-    cols = res.diffs[i - 1]
-    return FreeModuleElement(res.ring, tuple(col.coords[r] for col in cols))
+    """Row r of d_i as a row of R^{ranks[i]} (a column of the transposed
+    map)."""
+    return tuple(col[r] for col in res.diffs[i - 1])
 
 
 def _j_unit_vectors(ring, rank, J):
@@ -193,12 +185,8 @@ def _relative_kernel(res, i, J):
     b_next = res.ranks[i + 1]
     columns = [_transpose_column(res, i + 1, r) for r in range(b_i)]
     tagged = columns + _j_unit_vectors(ring, b_next, J)
-    kernel = []
-    for syz in syzygy_module(tagged):
-        head = FreeModuleElement(ring, syz.coords[:b_i])
-        if not head.is_zero():
-            kernel.append(head)
-    return kernel
+    heads = (syz[:b_i] for syz in syzygy_module(tagged))
+    return [head for head in heads if any(head)]
 
 
 def _image_basis(res, i, J):
@@ -231,9 +219,7 @@ def _ext_nonzero(res, i, a, J):
 def _ext_survives(res, i, J):
     kernel = _relative_kernel(res, i, J)
     image = _image_basis(res, i, J)
-    return any(
-        not (module_normal_form(v, image) if image else v).is_zero() for v in kernel
-    )
+    return any(any(module_normal_form(v, image)) for v in kernel)
 
 
 def nonzero_ext_degrees(a, M=None):

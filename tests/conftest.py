@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from liaison.fields import QQ
-from liaison.groebner import Ideal
+from liaison.groebner import Ideal, module_groebner_basis, unit_vector
 from liaison.instancefile import parse_instance
 from liaison.rings import PolyRing
 
@@ -88,3 +88,15 @@ def random_monomial_ideal(rng, ring, max_gens=4, max_degree=3, squarefree=False)
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def syzygy_oracle(rows):
+    """Generators of the syzygies of rows (of one rank r), found without the
+    pair loop's syzygies: the reduced module basis of the rows (g_i | e_i),
+    position over term, eliminates the first r coordinates, so its rows that
+    vanish there carry the syzygies in their tails."""
+    rank, n = len(rows[0]), len(rows)
+    ring = rows[0][0].ring
+    tagged = [tuple(g) + unit_vector(ring, n, i) for i, g in enumerate(rows)]
+    basis = module_groebner_basis(tagged)
+    return [row[rank:] for row in basis if not any(row[:rank])]

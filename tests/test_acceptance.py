@@ -266,8 +266,7 @@ def test_criterion_8_aprime(r4, full_corpus):
     same = ideal_equal(ap1, ap2)
     member = s_membership(ap1, I1, M, w1)
 
-    verdict = run_check(CheckId.APRIME_T7, _flagship_instance(r4), alternate_I=I2,
-                        alternate_witness=w2)
+    verdict = run_check(CheckId.APRIME_T7, _flagship_instance(r4), alternate=(I2, w2))
     brute = verdict.status == "holds" and verdict.details["brute_force_minimality"]
 
     radical_ok = True

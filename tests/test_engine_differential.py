@@ -1,15 +1,14 @@
 """Differential and property tests for the row engine in groebner.py: reduced
 bases against sympy, module bases under shuffled generators, and syzygies of
-rank-2 vectors."""
+rank-1 and rank-2 rows against an elimination oracle."""
 
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_polynomial, seeded
+from conftest import random_polynomial, seeded, syzygy_oracle
 from liaison.fields import GF, QQ
 from liaison.groebner import (
-    FreeModuleElement,
     module_groebner_basis,
     reduced_groebner_basis,
     syzygy_module,
@@ -78,12 +77,11 @@ def test_reduced_basis_matches_sympy(field, order):
         assert ours == theirs, gens
 
 
-def _random_vector(rng, ring):
-    coords = [
+def _random_vector(rng, ring, rank=2):
+    return tuple(
         random_polynomial(rng, ring, max_degree=2, max_terms=3, zero_ok=True)
-        for _ in range(2)
-    ]
-    return FreeModuleElement(ring, coords)
+        for _ in range(rank)
+    )
 
 
 @pytest.mark.parametrize("field,order", FIELDS_AND_ORDERS)
@@ -106,10 +104,21 @@ def test_rank_two_syzygies_are_exact_relations(field, order):
     for _ in range(6):
         gens = [_random_vector(rng, ring) for _ in range(3)]
         for syz in syzygy_module(gens):
-            assert syz.rank == len(gens)
+            assert len(syz) == len(gens)
             for pos in range(2):
                 total = ring.zero
-                for coeff, g in zip(syz.coords, gens):
-                    total = total + coeff * g.coords[pos]
+                for coeff, g in zip(syz, gens):
+                    total = total + coeff * g[pos]
                 assert total.is_zero()
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("field,order", FIELDS_AND_ORDERS)
+def test_syzygies_generate_the_oracle_module(field, order, rank):
+    ring = PolyRing(field, ["x", "y"], order)
+    rng = seeded(59 + rank)
+    for _ in range(5):
+        gens = [_random_vector(rng, ring, rank) for _ in range(3)]
+        ours = module_groebner_basis(syzygy_module(gens))
+        assert ours == module_groebner_basis(syzygy_oracle(gens)), gens
 

@@ -87,3 +87,12 @@ def test_unexpected_character():
     with pytest.raises(ParseError) as err:
         tokenize("x ? y")
     assert err.value.col == 3
+
+
+@pytest.mark.parametrize("digit", ["²", "١"])
+def test_non_ascii_digit_rejected_at_its_position(ring, digit):
+    # a superscript two and an Arabic-Indic one both pass str.isdigit
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(f"y +\nx^{digit}", ring)
+    assert "unexpected character" in err.value.message
+    assert (err.value.line, err.value.col) == (2, 3)
