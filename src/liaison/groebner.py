@@ -1,5 +1,5 @@
 """Buchberger engine over rows: normal forms, reduced Groebner bases of ideals
-and submodules, and syzygies.
+and submodules, and syzygies; and the exponent rules of monomial ideals.
 
 A row is a tuple of polynomials ordered position over term, lower index
 first: a polynomial is a rank-1 row and a vector of R^r a rank-r row, and
@@ -11,7 +11,8 @@ criterion to same-position pairs in every rank, so bases come out
 deterministic for a fixed ring and order.  Syzygies are read off the pair
 loop: the shadows of the pairs it reduces to zero.  A reduced basis is
 memoized for one run (limits.run_context) on the ring and set of nonzero
-generators, and kept on the Ideal value that asked for it.
+generators, and kept on the Ideal value that asked for it.  Single-term
+generators skip the pair loop: their minimal exponents are the reduced basis.
 """
 
 from bisect import insort
@@ -38,6 +39,24 @@ def exp_lcm(a, b):
 
 def exp_coprime(a, b):
     return not any(map(min, a, b))
+
+
+def minimalize_exponents(exps):
+    """The exponent tuples divisible by no other one, sorted."""
+    exps = sorted(set(exps))
+    return [m for m in exps if not any(o != m and exp_divides(o, m) for o in exps)]
+
+
+def intersect_exponents(a, b):
+    """Minimal generators of (x^a) cap (x^b): the pairwise lcms, minimalized."""
+    return minimalize_exponents(exp_lcm(m, n) for m in a for n in b)
+
+
+def single_term_exponents(polys):
+    """The exponents of the nonzero polys if each is a single term, else None."""
+    if any(len(p.terms) > 1 for p in polys):
+        return None
+    return [p.terms[0][0] for p in polys if p.terms]
 
 
 def _require_one_ring(polys):
@@ -275,6 +294,10 @@ def reduced_groebner_basis(gens, ring=None):
         ring = gens[0].ring
 
     def compute():
+        exps = single_term_exponents(gens)
+        if exps is not None:
+            exps = sorted(minimalize_exponents(exps), key=ring.key, reverse=True)
+            return tuple(ring.monomial(e) for e in exps)
         G, _ = buchberger(ring, [(g,) for g in gens])
         return tuple(row[0] for row in _reduce(ring, G))
 

@@ -22,7 +22,6 @@ from .monomials import (
     cd_monomial,
     intersect_primes,
     is_monomial_ideal,
-    minimalize_exponents,
     monomial_exponents,
     prime_ideal,
 )
@@ -240,7 +239,7 @@ class InvariantRecord:
 
 def _minimal_generator_count(a):
     if is_monomial_ideal(a):
-        return len(minimalize_exponents(monomial_exponents(a)))
+        return len(monomial_exponents(a))
     return len([g for g in dict.fromkeys(a.gens) if not g.is_zero()])
 
 

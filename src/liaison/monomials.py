@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ResourceLimitError
-from .groebner import Ideal, exp_divides
+from .groebner import Ideal, exp_divides, intersect_exponents, minimalize_exponents
 from .ideal_ops import intersect_ideals
 
 MAX_COMPLEX_VARS = 12  # stanley_reisner enumerates all 2^n vertex subsets
@@ -43,21 +43,6 @@ def is_monomial_ideal(I):
     return all(g.is_monomial() for g in I.groebner())
 
 
-def minimalize_exponents(exps):
-    """Drop exponent tuples divisible by another; sorted for determinism."""
-    exps = sorted(set(exps))
-    keep = []
-    for i, m in enumerate(exps):
-        if any(
-            exp_divides(other, m)
-            for j, other in enumerate(exps)
-            if j != i and (other != m or j < i)
-        ):
-            continue
-        keep.append(m)
-    return keep
-
-
 def _ideal_from_exponents(ring, exps):
     return Ideal(ring, tuple(ring.monomial(e) for e in sorted(exps)))
 
@@ -71,13 +56,6 @@ def monomial_radical(I):
     exps = monomial_exponents(I)
     square_free = [tuple(min(e, 1) for e in m) for m in exps]
     return _ideal_from_exponents(I.ring, minimalize_exponents(square_free))
-
-
-def _monomial_intersection(list_a, list_b):
-    """Intersection of two monomial ideals by pairwise lcm (combinatorial
-    rule; used inside the decomposition where inputs are known monomial)."""
-    lcms = [tuple(max(x, y) for x, y in zip(m, n)) for m in list_a for n in list_b]
-    return minimalize_exponents(lcms)
 
 
 def _monomial_contains(big, small):
@@ -127,7 +105,7 @@ def primary_decomposition_monomial(I):
     for comp in sorted(set(components)):
         rad = frozenset().union(*(_support(m) for m in comp))
         if rad in by_radical:
-            by_radical[rad] = tuple(_monomial_intersection(by_radical[rad], comp))
+            by_radical[rad] = tuple(intersect_exponents(by_radical[rad], comp))
         else:
             by_radical[rad] = comp
     comps = sorted(by_radical.values())
@@ -144,7 +122,7 @@ def primary_decomposition_monomial(I):
                 others = (
                     list(comp)
                     if others is None
-                    else _monomial_intersection(others, comp)
+                    else intersect_exponents(others, comp)
                 )
             if _monomial_contains(comps[idx], others):
                 comps.pop(idx)
@@ -186,8 +164,8 @@ def prime_ideal(ring, prime):
 
 
 def intersect_primes(ring, primes):
-    """Intersection of monomial primes via the general elimination route;
-    an empty collection yields the unit ideal."""
+    """Intersection of monomial primes through intersect_ideals, in its
+    generator order; an empty collection yields the unit ideal."""
     primes = sorted(primes, key=lambda p: (len(p), sorted(p)))
     if not primes:
         return Ideal(ring, (ring.one,))

@@ -9,10 +9,9 @@ from liaison.checks import (
     run_check,
     run_suite,
 )
-from liaison.groebner import Ideal
+from liaison.groebner import Ideal, minimalize_exponents
 from liaison.instancefile import parse_instance
 from liaison.linkage import LinkageInstance, RegularSequenceWitness, free_module
-from liaison.monomials import minimalize_exponents
 from liaison.rings import PolyRing
 from liaison.fields import QQ
 

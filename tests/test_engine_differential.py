@@ -35,6 +35,14 @@ def _nonconstant_polynomial(rng, ring):
     return p if p else ring.gen(0)
 
 
+def _term(rng, ring):
+    """One term of degree 1..4 with a coefficient in 1..6."""
+    exps = [0] * ring.nvars
+    for _ in range(rng.randrange(1, 5)):
+        exps[rng.randrange(ring.nvars)] += 1
+    return ring.monomial(exps, ring.field.of(rng.randrange(1, 7)))
+
+
 def _to_sympy(sympy, p, symbols, modulus):
     expr = sympy.Integer(0)
     for exps, coeff in p.terms:
@@ -65,8 +73,13 @@ def test_reduced_basis_matches_sympy(field, order):
     symbols = sympy.symbols("x y z")
     modulus = field.characteristic or None
     rng = seeded(31)
-    for _ in range(12):
-        gens = [_nonconstant_polynomial(rng, ring) for _ in range(rng.randrange(2, 4))]
+    cases = [
+        [_nonconstant_polynomial(rng, ring) for _ in range(rng.randrange(2, 4))]
+        for _ in range(12)
+    ]
+    # all single terms: the reduced basis skips the pair loop
+    cases += [[_term(rng, ring) for _ in range(rng.randrange(1, 6))] for _ in range(12)]
+    for gens in cases:
         ours = {g.monic() for g in reduced_groebner_basis(gens)}
         options = {"order": order}
         if modulus:

@@ -1,9 +1,25 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from conftest import random_monomial_ideal, random_polynomial, seeded
+from liaison import ideal_ops
+from liaison.cli import main
 from liaison.fields import GF, QQ
-from liaison.groebner import Ideal, exp_divides
+from liaison.groebner import (
+    Ideal,
+    _reduce,
+    buchberger,
+    exp_divides,
+    reduced_groebner_basis,
+)
 from liaison.ideal_ops import (
+    _intersect,
+    _intersect_by_elimination,
+    _quotient_by_poly,
+    _quotient_by_syzygies,
+    _radical_membership_by_elimination,
     ideal_contains,
     ideal_equal,
     ideal_quotient,
@@ -13,6 +29,33 @@ from liaison.ideal_ops import (
     saturate,
 )
 from liaison.rings import PolyRing
+
+FLAGSHIP = Path(__file__).resolve().parent.parent / "corpus" / "flagship.link"
+
+# `liaison gen --seed 1 --profile geometric-links --count 1 --vars 4`
+GEOMETRIC_LINK = """\
+ring R = QQ[x1, x2, x3, x4] grevlex;
+module M = quotient 0;
+ideal a0 = x1, x3;
+ideal b0 = x3, x4;
+ideal I0 = x1*x4, x3;
+regseq s0 = x1*x4, x3;
+check L07(a = a0, b = b0, I = I0, M = M, seq = s0);
+check L1(a = a0, b = b0, I = I0, M = M, seq = s0);
+check T8_MV(a = a0, b = b0, I = I0, M = M, seq = s0);
+check L5(a = a0, b = b0, I = I0, M = M, seq = s0);
+check GRADE_FORMULA_T(a = a0, b = b0, I = I0, M = M, seq = s0);
+check T5_CD(a = a0, b = b0, I = I0, M = M, seq = s0);
+check C3_E3(a = a0, b = b0, I = I0, M = M, seq = s0);
+check APRIME_T7(a = a0, b = b0, I = I0, M = M, seq = s0);
+check C4(a = a0, b = b0, I = I0, M = M, seq = s0);
+check S_REFLEX(a = a0, b = b0, I = I0, M = M, seq = s0);
+check C11_GLOBAL();
+check T1_GLOBAL();
+check C1_WITNESS();
+"""
+
+FIELDS_AND_ORDERS = [(QQ, "lex"), (QQ, "grevlex"), (GF(7), "lex"), (GF(7), "grevlex")]
 
 
 def _product(I, J):
@@ -198,3 +241,93 @@ def test_radical_membership_matches_power_search(r3):
             continue
         brute = any(I.contains(f**k) for k in range(1, 9))
         assert radical_membership(f, I) == brute
+
+
+def _monomial_generators(rng, ring):
+    """One to five single terms with coefficients in 1..6 and exponents up
+    to 3, drawn from a pool of up to four so that generators repeat;
+    sometimes the zero polynomial or a constant among them."""
+    size, pool = rng.randrange(1, 5), []
+    while len(pool) < size:
+        exps = tuple(rng.randrange(1, 4) if rng.random() < 0.5 else 0 for _ in range(ring.nvars))
+        if any(exps):
+            pool.append(exps)
+    gens = [
+        ring.monomial(rng.choice(pool), ring.field.of(rng.randrange(1, 7)))
+        for _ in range(rng.randrange(1, 6))
+    ]
+    if rng.random() < 0.2:
+        gens.append(ring.zero)
+    if rng.random() < 0.1:
+        gens.append(ring.constant(rng.randrange(1, 7)))
+    return gens
+
+
+def _monomial_ideals(rng, ring, count):
+    """The zero ideal (twice over), the unit ideal, then seeded ideals."""
+    x = ring.gen(0)
+    fixed = [(), (ring.zero,), (ring.constant(3),), (x**2, x**2, ring.constant(2) * x**3)]
+    return [Ideal(ring, gens) for gens in fixed] + [
+        Ideal(ring, tuple(_monomial_generators(rng, ring))) for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("nvars", [3, 4])
+@pytest.mark.parametrize("field,order", FIELDS_AND_ORDERS)
+def test_monomial_rules_match_the_general_routes(field, order, nvars):
+    # each monomial rule against the route it bypasses: the pair loop for the
+    # basis, elimination for the intersection, syzygies for the colon and the
+    # inverted-element trick for radical membership
+    ring = PolyRing(field, [f"x{i}" for i in range(1, nvars + 1)], order)
+    rng = seeded(71 + nvars)
+    ideals = _monomial_ideals(rng, ring, 12)
+    for I in ideals:
+        nonzero = [g for g in I.gens if not g.is_zero()]
+        general = ()
+        if nonzero:
+            G, _ = buchberger(ring, [(g,) for g in nonzero])
+            general = tuple(row[0] for row in _reduce(ring, G))
+        assert reduced_groebner_basis(I.gens, ring) == general, I
+    for I, J in zip(ideals, ideals[1:] + ideals[:1]):
+        assert _intersect(I, J).gens == _intersect_by_elimination(I, J).gens, (I, J)
+        for m in J.gens:
+            if not m.is_zero():
+                assert _quotient_by_poly(I, m).gens == _quotient_by_syzygies(I, m).gens
+        for f in [*J.gens, random_polynomial(rng, ring, max_degree=3, max_terms=3)]:
+            if not f.is_zero():
+                expected = _radical_membership_by_elimination(f, I)
+                assert radical_membership(f, I) == expected, (f, I)
+
+
+def _report(path, capsys):
+    code = main(["run", str(path), "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    for verdict in report["verdicts"]:
+        del verdict["millis"]
+    return code, report
+
+
+@pytest.mark.parametrize("name", ["flagship", "geometric-links"])
+def test_monomial_inputs_never_reach_the_general_routes(name, tmp_path, monkeypatch, capsys):
+    path = FLAGSHIP
+    if name == "geometric-links":
+        path = tmp_path / "geometric.link"
+        path.write_text(GEOMETRIC_LINK)
+    expected = _report(path, capsys)
+    reached = []
+
+    def guard(route):
+        def raising(*args):
+            reached.append(route)
+            raise AssertionError(f"monomial input reached {route}")
+
+        return raising
+
+    for route in (
+        "_intersect_by_elimination",
+        "_quotient_by_syzygies",
+        "_radical_membership_by_elimination",
+    ):
+        monkeypatch.setattr(ideal_ops, route, guard(route))
+    assert _report(path, capsys) == expected
+    assert reached == []
