@@ -9,7 +9,6 @@ value the cd formula implies for it.
 """
 
 import time
-from dataclasses import dataclass, field as dc_field
 from enum import Enum
 
 from . import limits
@@ -37,6 +36,7 @@ from .monomials import (
     monomial_radical,
     prime_ideal,
 )
+from .record import Record
 from .resolutions import grade_via_ext
 
 
@@ -65,13 +65,9 @@ FAILS = "fails"
 INAPPLICABLE = "inapplicable"
 
 
-@dataclass
-class Verdict:
-    check: CheckId
-    status: str
-    details: dict = dc_field(default_factory=dict)
-    witness: dict = None
-    millis: float = 0.0
+class Verdict(Record):
+    def __init__(self, check, status, details, witness, millis):
+        self._set(locals())
 
     def holds(self):
         return self.status == HOLDS

@@ -8,15 +8,14 @@ Exit codes: 0 every check holds (or is inapplicable), 1 some check fails,
 import argparse
 import json
 import sys
-from importlib import resources
 
 from . import __version__, limits
 from .checks import FAILS, run_suite
 from .errors import LiaisonError, ParseError, ResourceLimitError
-from .generate import PROFILES, generate_instances
 from .groebner import Ideal
 from .ideal_ops import ideal_quotient, intersect_ideals
 from .instancefile import (
+    PROFILES,
     instance_digest,
     parse_instance,
     parse_poly_list,
@@ -35,6 +34,8 @@ from .rings import poly_str
 
 def report_schema():
     """The shipped JSON schema for reports."""
+    from importlib import resources
+
     text = resources.files("liaison").joinpath("report_schema.json").read_text()
     return json.loads(text)
 
@@ -192,6 +193,8 @@ def _cmd_compute(args):
 
 
 def _cmd_gen(args):
+    from .generate import generate_instances
+
     text = generate_instances(args.seed, args.profile, args.count, args.vars)
     _write_output(text, args.out)
     return 0

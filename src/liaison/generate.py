@@ -20,7 +20,7 @@ import random
 from .checks import CheckId
 from .fields import QQ
 from .groebner import Ideal
-from .instancefile import parse_instance
+from .instancefile import PROFILES, parse_instance
 from .linkage import CyclicModule, RegularSequenceWitness, is_geometrically_linked
 from .monomials import (
     associated_primes_monomial,
@@ -28,8 +28,6 @@ from .monomials import (
     monomial_radical,
 )
 from .rings import PolyRing, poly_str
-
-PROFILES = ("self-links", "geometric-links", "monomial-ci")
 
 _PER_INSTANCE_CHECKS = {
     "self-links": (

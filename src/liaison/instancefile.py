@@ -13,7 +13,6 @@ alt_I (ideal).  `seq` is omitted exactly when I is the zero ideal.
 """
 
 import hashlib
-from dataclasses import dataclass, field as dc_field
 
 from .checks import GLOBAL_CHECKS, CheckId
 from .errors import ParseError
@@ -26,29 +25,28 @@ from .linkage import (
     RegularSequenceWitness,
 )
 from .parse import TokenStream, parse_poly_tokens, tokenize
+from .record import Record
 from .rings import PolyRing, poly_str
 
 _IDEAL_ARGS = ("a", "b", "I", "alt_I")
 _SEQ_ARGS = ("seq", "alt_seq")
 _ARG_ORDER = ("a", "b", "I", "M", "seq", "alt_I", "alt_seq")
+# The `liaison gen` profiles (see generate.py), kept with the file format so
+# that the CLI can list them without loading the generator.
+PROFILES = ("self-links", "geometric-links", "monomial-ci")
 
 
-@dataclass(frozen=True)
-class CheckDirective:
-    check: CheckId
-    args: dict
-    line: int
+class CheckDirective(Record):
+    def __init__(self, check, args, line):
+        self._set(locals())
 
 
-@dataclass
-class InstanceFile:
-    ring: PolyRing
-    ring_name: str
-    ideals: dict
-    modules: dict
-    module_defs: dict  # module name -> ideal name or "0"
-    regseqs: dict
-    directives: list = dc_field(default_factory=list)
+class InstanceFile(Record):
+    """A parsed file; module_defs maps each module name to the name of its
+    ideal, or "0"."""
+
+    def __init__(self, ring, ring_name, ideals, modules, module_defs, regseqs, directives):
+        self._set(locals())
 
     # -- directive resolution ------------------------------------------------
 

@@ -6,8 +6,6 @@ I over M iff (I+J) : a = b+J and (I+J) : b = a+J, geometrically linked iff
 additionally (a+J) cap (b+J) = I+J.
 """
 
-from dataclasses import dataclass
-
 from .errors import RingMismatchError, WitnessError
 from .groebner import Ideal, ideal_sum
 from .ideal_ops import (
@@ -25,20 +23,18 @@ from .monomials import (
     monomial_exponents,
     prime_ideal,
 )
+from .record import Record
 from .resolutions import grade_via_ext, pd_via_resolution
 
 
-@dataclass(frozen=True)
-class CyclicModule:
+class CyclicModule(Record):
     """M = R/J for a proper ideal J; Ann M = J and aM != M iff a+J is proper."""
 
-    ring: object
-    defining_ideal: Ideal
-
-    def __post_init__(self):
-        if self.defining_ideal.ring != self.ring:
+    def __init__(self, ring, defining_ideal):
+        self._set(locals())
+        if defining_ideal.ring != ring:
             raise RingMismatchError("defining ideal from a different ring")
-        if self.defining_ideal.is_unit():
+        if defining_ideal.is_unit():
             raise ValueError("R/J must be a nonzero module")
 
     def is_free(self):
@@ -54,12 +50,12 @@ def free_module(ring):
     return CyclicModule(ring, Ideal(ring, ()))
 
 
-@dataclass(frozen=True)
-class RegularSequenceWitness:
+class RegularSequenceWitness(Record):
     """An ordered M-regular sequence generating the linking ideal; empty for
     the zero ideal."""
 
-    elements: tuple
+    def __init__(self, elements):
+        self._set(locals())
 
     @property
     def length(self):
@@ -219,22 +215,17 @@ def cd_principal_cyclic(f, M):
     return 1
 
 
-@dataclass(frozen=True)
-class InvariantRecord:
+class InvariantRecord(Record):
     """Grade, cd (exact or interval) and optional pd for one (a, M)."""
 
-    grade: int
-    cd_lower: int
-    cd_upper: int
-    pd: object = None
+    def __init__(self, grade, cd_lower, cd_upper, pd):
+        self._set(locals())
+        if grade > cd_lower:
+            raise ValueError("grade exceeds the cd lower bound")
 
     @property
     def cd_exact(self):
         return self.cd_lower if self.cd_lower == self.cd_upper else None
-
-    def __post_init__(self):
-        if self.grade > self.cd_lower:
-            raise ValueError("grade exceeds the cd lower bound")
 
 
 def _minimal_generator_count(a):
@@ -279,18 +270,12 @@ def cd_bounds(a, M):
     return InvariantRecord(grade=grade, cd_lower=lo, cd_upper=hi, pd=pd)
 
 
-@dataclass(frozen=True)
-class LinkageInstance:
+class LinkageInstance(Record):
     """One concrete linkage situation: a (and optionally b) against I over M,
     with the regular-sequence witness for I."""
 
-    ring: object
-    module: CyclicModule
-    a: Ideal
-    I: Ideal
-    witness: RegularSequenceWitness
-    b: Ideal = None
-    name: str = ""
+    def __init__(self, ring, module, a, I, witness, b=None, name=""):
+        self._set(locals())
 
     def partner(self):
         """b when declared, else the double-colon candidate."""

@@ -10,12 +10,12 @@ Betti numbers are computed over the ring's own coefficient field, so they can
 legitimately depend on the characteristic; reports record it.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ResourceLimitError
 from .groebner import Ideal, exp_divides, intersect_exponents, minimalize_exponents
 from .ideal_ops import intersect_ideals
+from .record import Record
 
 MAX_COMPLEX_VARS = 12  # stanley_reisner enumerates all 2^n vertex subsets
 
@@ -131,13 +131,12 @@ def primary_decomposition_monomial(I):
     return [_ideal_from_exponents(ring, comp) for comp in comps]
 
 
-@dataclass(frozen=True)
-class AssociatedPrimes:
+class AssociatedPrimes(Record):
     """Associated primes of R/J as variable-index sets; the empty set marks
     the zero prime of the ambient domain."""
 
-    all_primes: frozenset
-    minimal: frozenset
+    def __init__(self, all_primes, minimal):
+        self._set(locals())
 
     def is_unmixed(self):
         return self.all_primes == self.minimal
@@ -178,13 +177,12 @@ def intersect_primes(ring, primes):
 # -- Stanley-Reisner ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(Record):
     """Facet description of a simplicial complex on vertices 0..n-1; the
     faces are exactly the subsets of facets."""
 
-    n_vertices: int
-    facets: tuple
+    def __init__(self, n_vertices, facets):
+        self._set(locals())
 
     def faces(self):
         seen = set()

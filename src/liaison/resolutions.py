@@ -11,8 +11,6 @@ distinct nonzero generators, on which their matrices depend, and Ext answers
 on the ring, the sets of nonzero generators of a and J, and the degree.
 """
 
-from dataclasses import dataclass
-
 from .groebner import (
     Ideal,
     module_groebner_basis,
@@ -21,19 +19,18 @@ from .groebner import (
     unit_vector,
 )
 from .limits import memo
+from .record import Record
 
 
-@dataclass(frozen=True)
-class FreeResolution:
+class FreeResolution(Record):
     """Chain of free modules F_0 <- F_1 <- ... resolving R/a.
 
     diffs[i] holds the columns of d_{i+1} as rows of R^{ranks[i]};
     consecutive maps compose to zero exactly.
     """
 
-    ring: object
-    ranks: tuple
-    diffs: tuple
+    def __init__(self, ring, ranks, diffs):
+        self._set(locals())
 
     @property
     def length(self):

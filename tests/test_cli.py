@@ -238,6 +238,14 @@ def test_gen_round_trips(capsys, tmp_path):
     assert all(v["status"] in ("holds", "inapplicable") for v in report["verdicts"])
 
 
+def test_gen_unknown_profile_is_a_usage_error(capsys):
+    code = main(["gen", "--seed", "1", "--profile", "bogus"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "argument --profile: invalid choice: 'bogus'" in err
+    assert "'self-links', 'geometric-links', 'monomial-ci'" in err
+
+
 def test_compute_rejects_internal_order(capsys):
     assert main(["compute", "gb", "--ring", "QQ[x,y] elim_last", "--ideal", "x"]) == 2
     assert "unknown order 'elim_last'" in capsys.readouterr().err
