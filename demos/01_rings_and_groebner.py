@@ -1,8 +1,9 @@
 """Exact polynomial arithmetic and reduced Groebner bases.
 
-Everything is exact: rational coefficients are stdlib Fractions, prime-field
-coefficients are residues.  Reduced bases are unique and deterministic, so
-they double as canonical forms for ideals.
+Everything is exact: a rational coefficient is an int when integral and a
+stdlib Fraction otherwise, a prime-field coefficient is a residue.  Reduced
+bases are unique and deterministic, so they double as canonical forms for
+ideals.
 """
 
 from liaison import GF, QQ, Ideal, PolyRing, reduce_normal_form, reduced_groebner_basis, syzygy_module

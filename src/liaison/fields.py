@@ -1,12 +1,12 @@
 """Exact coefficient fields: the rationals and prime fields.
 
-Rational coefficients are stdlib Fractions (always reduced, positive
-denominator); prime-field coefficients are plain integer residues in [0, p).
-All arithmetic goes through the field object so polynomial code stays
-field-agnostic.
+A rational coefficient is an int when it is integral and otherwise a reduced
+stdlib Fraction (positive denominator), so every value has one form and the
+common integral case never pays for a Fraction; `fractions` is imported when
+the first non-integral value is built.  Prime-field coefficients are plain
+integer residues in [0, p).  All arithmetic goes through the field object so
+polynomial code stays field-agnostic.
 """
-
-from fractions import Fraction
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # The least strong pseudoprime to every base in _MR_BASES (it is divisible by
@@ -41,38 +41,66 @@ def is_prime(n):
     return True
 
 
+def _ratio(num, den):
+    """The rational num/den of two ints in canonical form: an int when den
+    divides num, else a reduced Fraction.  ZeroDivisionError when den is 0."""
+    if num % den:
+        from fractions import Fraction
+
+        return Fraction(num, den)
+    return num // den
+
+
 class RationalField:
-    """The field of rational numbers; coefficients are Fractions."""
+    """The field of rational numbers.  A coefficient is an int when it is
+    integral and a reduced Fraction otherwise; every operation returns this
+    form.  Fractions and ints that are equal also hash alike."""
 
     characteristic = 0
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def of(self, value):
-        return Fraction(value)
+        """An int or rational number (anything with numerator and
+        denominator) as a coefficient."""
+        return _ratio(value.numerator, value.denominator)
 
     def frac(self, num, den):
         if den == 0:
             raise ZeroDivisionError("zero denominator in rational coefficient")
-        return Fraction(num, den)
+        return _ratio(num, den)
+
+    # The sum, difference or product of ints is an int; one that involves a
+    # Fraction is integral when its denominator is 1.  Each operation does
+    # its own arithmetic, so a count of calls to these six methods counts
+    # field operations.
 
     def add(self, a, b):
-        return a + b
+        c = a + b
+        if c.__class__ is int or c.denominator != 1:
+            return c
+        return c.numerator
 
     def sub(self, a, b):
-        return a - b
+        c = a - b
+        if c.__class__ is int or c.denominator != 1:
+            return c
+        return c.numerator
 
     def mul(self, a, b):
-        return a * b
+        c = a * b
+        if c.__class__ is int or c.denominator != 1:
+            return c
+        return c.numerator
 
     def neg(self, a):
         return -a
 
     def inv(self, a):
-        return 1 / a
+        return _ratio(a.denominator, a.numerator)
 
     def div(self, a, b):
-        return a / b
+        return _ratio(a.numerator * b.denominator, a.denominator * b.numerator)
 
     def coeff_str(self, a):
         return str(a)
@@ -101,9 +129,9 @@ class PrimeField:
         self.one = 1 % p
 
     def of(self, value):
-        if isinstance(value, Fraction):
-            return self.frac(value.numerator, value.denominator)
-        return value % self.p
+        """An int or rational number (anything with numerator and
+        denominator) as a residue."""
+        return self.frac(value.numerator, value.denominator)
 
     def frac(self, num, den):
         if den % self.p == 0:
@@ -128,7 +156,9 @@ class PrimeField:
         return pow(a, -1, self.p)
 
     def div(self, a, b):
-        return a * self.inv(b) % self.p
+        if b % self.p == 0:
+            raise ZeroDivisionError("division by zero")
+        return a * pow(b, -1, self.p) % self.p
 
     def coeff_str(self, a):
         return str(a)

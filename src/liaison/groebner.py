@@ -18,8 +18,8 @@ generators skip the pair loop: their minimal exponents are the reduced basis.
 from bisect import insort
 from operator import add, le, sub as minus
 
-from .errors import RingMismatchError
-from .limits import memo
+from .errors import ResourceLimitError, RingMismatchError
+from .limits import COEFF_BITS_CAP, memo
 
 # -- exponent-tuple helpers --------------------------------------------------
 
@@ -165,6 +165,21 @@ def _difference(field, a, b, ta, tb):
     return work
 
 
+def _check_coeff_bits(rows):
+    """Abort when a coefficient of the rows has a numerator or denominator
+    longer than COEFF_BITS_CAP bits: over QQ a basis can grow its
+    coefficients without end while degree and term count stay small."""
+    for row in rows:
+        for p in row:
+            for _, c in p.terms:
+                num, den = c.numerator.bit_length(), c.denominator.bit_length()
+                if num > COEFF_BITS_CAP or den > COEFF_BITS_CAP:
+                    raise ResourceLimitError(
+                        f"groebner: coefficient of {max(num, den)} bits "
+                        f"exceeds cap {COEFF_BITS_CAP}"
+                    )
+
+
 def _reduce_pair(ring, G, X, i, j):
     """Remainder of the S-row of the monic rows G[i], G[j] (leads at one
     position) and, when shadows X are tracked, the S-row of the shadows
@@ -203,6 +218,7 @@ def buchberger(ring, rows, shadows=None):
             row = tuple(p.scale(inv) for p in row)
             if X is not None:
                 shadow = tuple(p.scale(inv) for p in shadow)
+        _check_coeff_bits((row,) if X is None else (row, shadow))
         new = len(G)
         for k, (kpos, klm) in enumerate(leads):
             if kpos == pos:

@@ -2,10 +2,12 @@
 
 A run (`checks.run_suite`, `liaison compute`) opens a RunContext, held in a
 context variable.  Every polynomial built is checked against a total-degree
-cap (the run's, else the default) and a term-count cap, and blowing past
-either aborts with ResourceLimitError instead of grinding on.  The run also
-memoizes exact computations whose value depends only on their key, so it
-makes each once; only completed values are stored, and only until it ends.
+cap (the run's, else the default) and a term-count cap, every row that the
+Buchberger pair loop keeps against a coefficient-size cap, and blowing past
+any of them aborts with ResourceLimitError instead of grinding on.  The run
+also memoizes exact computations whose value depends only on their key, so
+it makes each once; only completed values are stored, and only until it
+ends.
 """
 
 from contextlib import contextmanager
@@ -15,6 +17,8 @@ from .errors import ResourceLimitError
 
 DEFAULT_DEGREE_CAP = 128
 TERM_CAP = 200_000
+# Bits of the numerator or denominator of one coefficient.
+COEFF_BITS_CAP = 16_384
 
 _RUN = ContextVar("liaison_run", default=None)
 
@@ -74,3 +78,4 @@ def check_terms(n_terms, max_degree):
         raise ResourceLimitError(
             f"polynomial with {n_terms} terms exceeds cap {TERM_CAP}"
         )
+

@@ -250,8 +250,8 @@ class Polynomial:
         )
 
     def __hash__(self):
-        # Memo keys hash the same generators again and again; a QQ
-        # coefficient is a Fraction, whose hash takes a modular inverse.
+        # Memo keys hash the same generators again and again, and each hash
+        # walks every term; the value never changes, so it is kept.
         try:
             return self._hash
         except AttributeError:

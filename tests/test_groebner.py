@@ -1,10 +1,11 @@
 import pytest
 
 from conftest import random_polynomial, seeded
-from liaison.errors import RingMismatchError
+from liaison.errors import ResourceLimitError, RingMismatchError
 from liaison.fields import QQ
 from liaison.groebner import (
     Ideal,
+    _check_coeff_bits,
     ideal_membership,
     module_groebner_basis,
     module_normal_form,
@@ -13,6 +14,7 @@ from liaison.groebner import (
     syzygy_module,
     unit_vector,
 )
+from liaison.limits import COEFF_BITS_CAP
 from liaison.rings import PolyRing
 
 
@@ -120,3 +122,32 @@ def test_syzygy_of_zero_generator(r2):
     x, _ = r2.gens()
     syz = syzygy_module([(r2.zero,), (x,)])
     assert unit_vector(r2, 2, 0) in syz
+
+
+def test_coefficient_growth_trips_the_cap():
+    """Without a bound on coefficient size this module basis runs on and on:
+    its new rows keep a few dozen terms and a low degree while their
+    coefficients double in length, so neither the degree nor the term cap
+    stops it."""
+    ring = PolyRing(QQ, ["x", "y"], order="lex")
+    P = ring.parse
+    G = [
+        (P("-x*y - 2*y - 1"), P("3*x^2 + 2")),
+        (P("-2*x*y"), P("-3*x - 2*y")),
+        (P("-x*y + 3*x + 3*y"), P("-2*x*y + y^2")),
+        (P("-x*y"), P("-3")),
+    ]
+    rows = syzygy_module(G)[::2]
+    with pytest.raises(ResourceLimitError, match=r"^groebner: coefficient of \d+ bits exceeds cap 16384$"):
+        module_groebner_basis(rows)
+
+
+def test_coefficient_cap_counts_numerator_and_denominator():
+    ring = PolyRing(QQ, ["x"])
+    x = ring.gens()[0]
+    at_cap = 2**COEFF_BITS_CAP - 1
+    _check_coeff_bits([(x.scale(at_cap), x.scale(QQ.frac(1, at_cap)))])
+    over = f"groebner: coefficient of {COEFF_BITS_CAP + 1} bits exceeds cap"
+    for c in (2**COEFF_BITS_CAP, QQ.frac(-1, 2**COEFF_BITS_CAP), QQ.frac(2**COEFF_BITS_CAP, 3)):
+        with pytest.raises(ResourceLimitError, match=over):
+            _check_coeff_bits([(ring.one, x.scale(c))])

@@ -22,7 +22,14 @@ sys.stderr.write("\\n".join(sorted(set(sys.modules) - before)))
 sys.exit(code)
 """
 
-NEVER_AT_RUN = ("dataclasses", "inspect", "random", "liaison.generate")
+NEVER_AT_RUN = (
+    "dataclasses",
+    "inspect",
+    "random",
+    "liaison.generate",
+    "fractions",
+    "decimal",
+)
 
 
 def _loaded(*argv):
@@ -49,3 +56,18 @@ def test_run_loads_only_what_it_uses():
 def test_gen_loads_the_generator():
     loaded = _loaded("gen", "--seed", "1", "--profile", "self-links", "--count", "1")
     assert "liaison.generate" in loaded
+
+
+def test_a_non_integral_coefficient_loads_fractions(tmp_path):
+    link = tmp_path / "half.link"
+    link.write_text(
+        "ring R = QQ[x1, x2] grevlex;\n"
+        "ideal a = 3/2*x1;\n"
+        "ideal b = x2;\n"
+        "ideal I = x1*x2;\n"
+        "module M = quotient 0;\n"
+        "regseq s = x1*x2;\n"
+        "check L07(a = a, b = b, I = I, M = M, seq = s);\n"
+    )
+    loaded = _loaded("run", str(link), "--format", "json")
+    assert "fractions" in loaded
