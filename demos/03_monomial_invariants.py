@@ -1,10 +1,11 @@
 """Monomial-ideal combinatorics and the two invariant oracles.
 
 For a squarefree monomial ideal the projective dimension of R/I can be read
-off reduced cohomology of vertex restrictions of its Stanley-Reisner complex,
-and it equals both the length of the minimal free resolution and (for the
-radical) the cohomological dimension.  Running the two independent routes on
-the same ideal is the library's built-in cross-check.
+off reduced cohomology of vertex restrictions of its Stanley-Reisner complex
+(the vertex sets containing no generator support), and it equals both the
+length of the minimal free resolution and (for the radical) the cohomological
+dimension.  Running the two independent routes on the same ideal is the
+library's built-in cross-check.
 """
 
 from liaison import Ideal, PolyRing, QQ
@@ -13,9 +14,7 @@ from liaison.monomials import (
     cd_monomial,
     ext_nonvanishing_degrees,
     hochster_pd,
-    krull_dim_monomial,
     primary_decomposition_monomial,
-    stanley_reisner,
 )
 from liaison.resolutions import free_resolution, grade_via_ext, pd_via_resolution
 
@@ -31,11 +30,6 @@ print("associated primes:", sorted(sorted(p) for p in ass.all_primes))
 print("unmixed:", ass.is_unmixed())
 
 print()
-print("# the Stanley-Reisner complex: two disjoint edges")
-complex_ = stanley_reisner(union_of_planes)
-print("facets:", [sorted(f) for f in complex_.facets])
-
-print()
 print("# route one: restriction cohomology")
 print("pd via restrictions:", hochster_pd(union_of_planes))
 print("# route two: the minimal free resolution")
@@ -44,8 +38,7 @@ print("resolution ranks:", res.ranks)
 print("pd via resolution:", pd_via_resolution(union_of_planes))
 
 print()
-print("# grade, cohomological dimension, dimension")
+print("# grade and cohomological dimension")
 print("grade:", grade_via_ext(union_of_planes, None))
 print("cd:", cd_monomial(union_of_planes))
 print("nonvanishing Ext degrees:", sorted(ext_nonvanishing_degrees(union_of_planes)))
-print("dim R/a:", krull_dim_monomial(union_of_planes))

@@ -35,6 +35,7 @@ from .monomials import (
     monomial_exponents,
     monomial_radical,
     prime_ideal,
+    primes_containing,
 )
 from .record import Record
 from .resolutions import grade_via_ext
@@ -127,7 +128,7 @@ def _unmixed_ass(inst):
     ass = associated_primes_monomial(IJ)
     if not ass.is_unmixed():
         raise Inapplicable("Ass(M/IM) has an embedded prime")
-    in_v_a = _v_of(inst.a, ass.all_primes, inst.ring)
+    in_v_a = primes_containing(inst.a, ass.all_primes)
     return ass.all_primes, in_v_a, set(ass.all_primes) - in_v_a
 
 
@@ -136,16 +137,6 @@ def _aprime(inst):
     if grade_via_ext(inst.a, inst.module) != inst.witness.length:
         raise Inapplicable("witness is not a maximal regular sequence in a")
     return aprime_construct(inst.a, inst.I, inst.module, inst.witness)
-
-
-def _v_of(I, prime_set, ring):
-    """Subset of the given primes containing I."""
-    out = set()
-    for p in prime_set:
-        pid = prime_ideal(ring, p)
-        if all(pid.contains(g) for g in I.gens):
-            out.add(p)
-    return out
 
 
 # -- structure checks (radical identities and Ass containment) ------------------
@@ -390,7 +381,7 @@ def check_cd_formula(inst):
     geometric = is_geometrically_linked(inst.a, b, inst.I, M, inst.witness)
     details["geometric"] = geometric
     if geometric:
-        in_v_b = _v_of(b, primes, ring)
+        in_v_b = primes_containing(b, primes)
         e3_ok = excluded == in_v_b
         details["excluded_eq_v_b"] = e3_ok
         details["ass_in_v_b"] = _primes_str(in_v_b)
@@ -406,7 +397,7 @@ def check_e3_identity(inst):
     b = _require_geometric(inst)
     M = inst.module
     primes, _, excluded = _unmixed_ass(inst)
-    in_v_b = _v_of(b, primes, inst.ring)
+    in_v_b = primes_containing(b, primes)
     ok = excluded == in_v_b
     details = {
         "excluded_primes": _primes_str(excluded),
@@ -580,7 +571,9 @@ def check_t1(ring, corpus):
     instances = [
         inst
         for inst in corpus
-        if inst.module.is_free() and is_monomial_ideal(inst.I) and not inst.I.is_zero()
+        if inst.module.is_free()
+        and is_monomial_ideal(inst.I)
+        and not (inst.I.is_zero() or inst.I.is_unit())
     ]
     if not instances:
         raise Inapplicable("no monomial instances over M = R in the corpus")
@@ -594,7 +587,7 @@ def check_t1(ring, corpus):
         t = inst.witness.length
         pool = [inst.a] + ([inst.b] if inst.b is not None else []) + [inst.I]
         for candidate in pool:
-            if not is_monomial_ideal(candidate) or candidate.is_zero():
+            if not is_monomial_ideal(candidate) or candidate.is_zero() or candidate.is_unit():
                 continue
             if not all(candidate.contains(g) for g in inst.I.gens):
                 continue

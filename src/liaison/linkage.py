@@ -21,7 +21,7 @@ from .monomials import (
     intersect_primes,
     is_monomial_ideal,
     monomial_exponents,
-    prime_ideal,
+    primes_containing,
 )
 from .record import Record
 from .resolutions import grade_via_ext, pd_via_resolution
@@ -182,19 +182,13 @@ def aprime_construct(a, I, M, witness):
     """The smallest radical double-colon-fixed ideal over a: the intersection
     of the associated primes of M/IM that contain a."""
     validate_witness(witness, I, M)
-    ring = M.ring
     IJ = ideal_sum(I, M.defining_ideal)
     if not is_monomial_ideal(IJ):
         raise ValueError("associated primes need monomial I + J")
-    ass = associated_primes_monomial(IJ)
-    selected = []
-    for p in sorted(ass.all_primes, key=lambda p: (len(p), sorted(p))):
-        pid = prime_ideal(ring, p)
-        if all(pid.contains(g) for g in a.gens):
-            selected.append(p)
+    selected = primes_containing(a, associated_primes_monomial(IJ).all_primes)
     if not selected:
         raise ValueError("no associated prime of M/IM contains a")
-    return intersect_primes(ring, selected)
+    return intersect_primes(M.ring, selected)
 
 
 def cd_principal_cyclic(f, M):

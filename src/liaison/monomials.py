@@ -1,13 +1,12 @@
-"""Monomial-ideal combinatorics: primary decomposition, associated primes,
-Stanley-Reisner complexes, Hochster-formula projective dimension, Krull
-dimension, and the cohomological-dimension oracle for monomial ideals.
+"""Monomial-ideal combinatorics, computed from the exponent supports of the
+minimal generators: primary decomposition, associated primes, Hochster-formula
+projective dimension, and the cohomological-dimension oracle.
 
 The cd oracle rests on two standard facts about a squarefree monomial ideal a
 over a polynomial ring: cd(a, R) equals pd(R/a), and H^i_a(R) is nonzero
-exactly when Ext^i(R/a, R) is.  Hochster's formula reads pd(R/a) off the
-vertex restrictions of the Stanley-Reisner complex to the lcm lattice of a.
-Betti numbers are computed over the ring's own coefficient field, so they can
-legitimately depend on the characteristic; reports record it.
+exactly when Ext^i(R/a, R) is.  Betti numbers are computed over the ring's own
+coefficient field, so they can legitimately depend on the characteristic;
+reports record it.
 """
 
 from itertools import combinations
@@ -17,7 +16,7 @@ from .groebner import Ideal, exp_divides, intersect_exponents, minimalize_expone
 from .ideal_ops import intersect_ideals
 from .record import Record
 
-MAX_COMPLEX_VARS = 12  # stanley_reisner enumerates all 2^n vertex subsets
+MAX_COMPLEX_VARS = 12  # hochster_pd enumerates subsets of the support union, at most 2^n
 
 
 # -- monomial bookkeeping ------------------------------------------------------
@@ -66,32 +65,22 @@ def _monomial_contains(big, small):
 # -- primary decomposition ----------------------------------------------------
 
 
-def primary_decomposition_monomial(I):
-    """Irredundant primary decomposition of a proper monomial ideal.
+def _irreducible_components(exps):
+    """Irredundant irreducible decomposition of a proper nonzero monomial
+    ideal, each component the sorted exponents of its pure variable powers.
 
     Recursively splits a generator m = u*v with coprime u, v into
     (I + (u)) cap (I + (v)) until every component is generated by pure
-    variable powers, then merges components sharing a radical and removes
-    redundant ones.  The intersection of the result equals I exactly.
+    variable powers.  Irreducible monomial ideals are meet-irreducible, so the
+    components containing no other component are exactly the irredundant ones.
     """
-    ring = I.ring
-    if I.is_unit():
-        raise ValueError("the unit ideal has no primary decomposition")
-    exps = monomial_exponents(I)
-    if not exps:
-        return [Ideal(ring, ())]  # the zero ideal is prime here
-
-    components = []
+    found = set()
     stack = [minimalize_exponents(exps)]
     while stack:
         gens = stack.pop()
-        split_at = None
-        for m in gens:
-            if len(_support(m)) > 1:
-                split_at = m
-                break
+        split_at = next((m for m in gens if len(_support(m)) > 1), None)
         if split_at is None:
-            components.append(tuple(gens))
+            found.add(tuple(gens))
             continue
         var = min(_support(split_at))
         u = tuple(split_at[i] if i == var else 0 for i in range(len(split_at)))
@@ -99,36 +88,28 @@ def primary_decomposition_monomial(I):
         rest = [m for m in gens if m != split_at]
         stack.append(minimalize_exponents(rest + [u]))
         stack.append(minimalize_exponents(rest + [v]))
+    return sorted(c for c in found if not any(o != c and _monomial_contains(c, o) for o in found))
 
-    # merge components with equal radical (intersection stays primary)
+
+def primary_decomposition_monomial(I):
+    """Irredundant primary decomposition of a proper monomial ideal: the
+    irredundant irreducible components merged by radical (an intersection of
+    primary ideals with one radical stays primary).  The intersection of the
+    result equals I exactly.
+    """
+    ring = I.ring
+    if I.is_unit():
+        raise ValueError("the unit ideal has no primary decomposition")
+    exps = monomial_exponents(I)
+    if not exps:
+        return [Ideal(ring, ())]  # the zero ideal is prime here
     by_radical = {}
-    for comp in sorted(set(components)):
+    for comp in _irreducible_components(exps):
         rad = frozenset().union(*(_support(m) for m in comp))
         if rad in by_radical:
-            by_radical[rad] = tuple(intersect_exponents(by_radical[rad], comp))
-        else:
-            by_radical[rad] = comp
-    comps = sorted(by_radical.values())
-
-    # drop components containing the intersection of the others
-    changed = True
-    while changed and len(comps) > 1:
-        changed = False
-        for idx in range(len(comps)):
-            others = None
-            for j, comp in enumerate(comps):
-                if j == idx:
-                    continue
-                others = (
-                    list(comp)
-                    if others is None
-                    else intersect_exponents(others, comp)
-                )
-            if _monomial_contains(comps[idx], others):
-                comps.pop(idx)
-                changed = True
-                break
-    return [_ideal_from_exponents(ring, comp) for comp in comps]
+            comp = tuple(intersect_exponents(by_radical[rad], comp))
+        by_radical[rad] = comp
+    return [_ideal_from_exponents(ring, comp) for comp in sorted(by_radical.values())]
 
 
 class AssociatedPrimes(Record):
@@ -149,10 +130,10 @@ def associated_primes_monomial(J):
     if J.is_zero():
         zero_prime = frozenset()
         return AssociatedPrimes(frozenset([zero_prime]), frozenset([zero_prime]))
-    comps = primary_decomposition_monomial(J)
-    primes = set()
-    for comp in comps:
-        primes.add(frozenset().union(*(_support(e) for e in monomial_exponents(comp))))
+    primes = {
+        frozenset().union(*(_support(m) for m in comp))
+        for comp in _irreducible_components(monomial_exponents(J))
+    }
     minimal = {p for p in primes if not any(q < p for q in primes)}
     return AssociatedPrimes(frozenset(primes), frozenset(minimal))
 
@@ -160,6 +141,17 @@ def associated_primes_monomial(J):
 def prime_ideal(ring, prime):
     """The monomial prime ideal of a variable-index set (empty set -> (0))."""
     return Ideal(ring, tuple(ring.gen(i) for i in sorted(prime)))
+
+
+def primes_containing(I, primes):
+    """The monomial primes (variable-index sets) among the given ones that
+    contain I."""
+    out = set()
+    for p in primes:
+        pid = prime_ideal(I.ring, p)
+        if all(pid.contains(g) for g in I.gens):
+            out.add(p)
+    return out
 
 
 def intersect_primes(ring, primes):
@@ -172,55 +164,6 @@ def intersect_primes(ring, primes):
     for p in primes[1:]:
         result = intersect_ideals(result, prime_ideal(ring, p))
     return result
-
-
-# -- Stanley-Reisner ------------------------------------------------------------
-
-
-class SimplicialComplex(Record):
-    """Facet description of a simplicial complex on vertices 0..n-1; the
-    faces are exactly the subsets of facets."""
-
-    def __init__(self, n_vertices, facets):
-        self._set(locals())
-
-    def faces(self):
-        seen = set()
-        for f in self.facets:
-            members = sorted(f)
-            for r in range(len(members) + 1):
-                for c in combinations(members, r):
-                    seen.add(frozenset(c))
-        return seen
-
-
-def stanley_reisner(I):
-    """The complex whose minimal non-faces are the generator supports of a
-    proper squarefree monomial ideal."""
-    ring = I.ring
-    n = ring.nvars
-    if n > MAX_COMPLEX_VARS:
-        raise ResourceLimitError(f"more than {MAX_COMPLEX_VARS} variables")
-    exps = monomial_exponents(I)
-    if I.is_unit():
-        raise ValueError("the unit ideal has no Stanley-Reisner complex")
-    for m in exps:
-        if any(e > 1 for e in m):
-            raise ValueError("not a squarefree monomial ideal")
-    nonfaces = [_support(m) for m in exps]
-    vertices = list(range(n))
-    faces = []
-    for r in range(n, -1, -1):
-        for c in combinations(vertices, r):
-            s = frozenset(c)
-            if not any(nf <= s for nf in nonfaces):
-                faces.append(s)
-    facets = []
-    for s in faces:  # faces listed largest-first
-        if not any(s < f for f in facets):
-            facets.append(s)
-    facets.sort(key=lambda f: (len(f), sorted(f)))
-    return SimplicialComplex(n, tuple(facets))
 
 
 # -- simplicial homology over the coefficient field ----------------------------
@@ -301,31 +244,34 @@ def reduced_homology_dims(faces, field):
 
 
 def hochster_pd(I):
-    """pd(R/I) for squarefree monomial I, by reduced cohomology of the vertex
-    restrictions of the Stanley-Reisner complex to the lcm lattice of I
-    (ranks over the ring's own coefficient field).
-
-    The lcm lattice is the set of unions of minimal generator supports.  Any
-    other vertex set s holds a vertex in no minimal non-face inside s, so the
-    restriction to s is a cone on that vertex and has no reduced homology.
+    """pd(R/I) for squarefree monomial I, by Hochster's formula: reduced
+    cohomology of the Stanley-Reisner complex (the vertex sets containing no
+    generator support) restricted to each element of the lcm lattice, the
+    unions of minimal generator supports; ranks over the ring's own field.
+    Any other vertex set s holds a vertex in no minimal non-face inside s, so
+    the restriction to s is a cone on that vertex and has no reduced homology.
     """
     ring = I.ring
-    n = ring.nvars
-    if n > MAX_COMPLEX_VARS:
+    if ring.nvars > MAX_COMPLEX_VARS:
         raise ResourceLimitError(f"more than {MAX_COMPLEX_VARS} variables")
     if I.is_zero():
         raise ValueError("pd oracle needs a nonzero ideal")
-    complex_ = stanley_reisner(I)
-    all_faces = complex_.faces()
+    exps = monomial_exponents(I)
+    if I.is_unit():
+        raise ValueError("the unit ideal has no Stanley-Reisner complex")
+    if any(e > 1 for m in exps for e in m):
+        raise ValueError("not a squarefree monomial ideal")
+    nonfaces = [_support(m) for m in exps]
+    vertices = sorted(frozenset().union(*nonfaces))
+    subsets = (frozenset(c) for r in range(len(vertices) + 1) for c in combinations(vertices, r))
+    faces = [f for f in subsets if not any(nf <= f for nf in nonfaces)]
     lattice = {frozenset()}
-    for m in monomial_exponents(I):
-        support = _support(m)
+    for support in nonfaces:
         lattice |= {s | support for s in lattice}
-    field = ring.field
     best = 0
     for s in lattice:
-        restricted = [f for f in all_faces if f <= s]
-        for d in reduced_homology_dims(restricted, field):
+        restricted = [f for f in faces if f <= s]
+        for d in reduced_homology_dims(restricted, ring.field):
             i = len(s) - d - 1
             if i > best:
                 best = i
@@ -352,15 +298,3 @@ def ext_nonvanishing_degrees(a):
     if a.is_zero() or a.is_unit():
         raise ValueError("need a proper nonzero ideal")
     return set(nonzero_ext_degrees(a))
-
-
-def krull_dim_monomial(J):
-    """dim(R/J) for monomial (or zero) J: n minus the minimal height of a
-    minimal prime."""
-    ring = J.ring
-    if J.is_unit():
-        raise ValueError("dim of the zero module")
-    if J.is_zero():
-        return ring.nvars
-    ass = associated_primes_monomial(J)
-    return ring.nvars - min(len(p) for p in ass.minimal)

@@ -285,6 +285,30 @@ def test_unit_sum_pair_is_inapplicable_not_an_abort(tmp_path, capsys):
         assert v["details"] == {"hypothesis": "a + b acts as the unit ideal on M"}
 
 
+UNIT_IDEAL_HEAD = "ring R = QQ[x, y] grevlex;\nmodule M = quotient 0;\n"
+UNIT_IDEAL_TAIL = "check L07(a = a, I = I, M = M, seq = s);\ncheck T1_GLOBAL();\n"
+
+
+@pytest.mark.parametrize(
+    "ideals, t1_status",
+    [
+        ("ideal a = x;\nideal I = 1;\nregseq s = 1;\n", "inapplicable"),
+        ("ideal a = 1;\nideal I = x;\nregseq s = x;\n", "holds"),
+    ],
+    ids=["unit_I", "unit_a"],
+)
+def test_t1_global_skips_unit_ideals(ideals, t1_status, tmp_path, capsys):
+    # a unit I has no associated primes and a unit candidate no grade
+    path = tmp_path / "unit_ideal.link"
+    path.write_text(UNIT_IDEAL_HEAD + ideals + UNIT_IDEAL_TAIL)
+    assert main(["run", str(path), "--format", "json"]) == 0
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert [(v["check"], v["status"]) for v in verdicts] == [
+        ("L07", "inapplicable"),
+        ("T1_GLOBAL", t1_status),
+    ]
+
+
 PINNED = json.loads((ROOT / "perfbench" / "reference.json").read_text())["corpus"]
 
 

@@ -13,14 +13,18 @@ from liaison.monomials import (
     ext_nonvanishing_degrees,
     hochster_pd,
     intersect_primes,
-    krull_dim_monomial,
+    monomial_exponents,
     monomial_radical,
     primary_decomposition_monomial,
+    primes_containing,
     reduced_homology_dims,
-    stanley_reisner,
 )
 from liaison.resolutions import grade_via_ext, pd_via_resolution
 from liaison.rings import PolyRing
+
+
+def _support(exps):
+    return frozenset(i for i, e in enumerate(exps) if e)
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +82,49 @@ def test_decomposition_soundness_50_seeded():
         assert ideal_equal(back, I)
 
 
+def _intersection(ideals):
+    result = ideals[0]
+    for ideal in ideals[1:]:
+        result = _intersect_by_elimination(result, ideal)
+    return result
+
+
+def _assert_irredundant_primary_decomposition(I):
+    """The four facts that, by the first uniqueness theorem, fix Ass(R/I) as
+    the set of radicals of the components."""
+    comps = primary_decomposition_monomial(I)
+    assert ideal_equal(_intersection(comps), I)
+    radicals = []
+    for comp in comps:
+        exps = monomial_exponents(comp)
+        powers = {i for e in exps for i in _support(e) if len(_support(e)) == 1}
+        # primary: every generator lives on variables the component holds a
+        # pure power of, so those variables are its radical
+        assert all(_support(e) <= powers for e in exps)
+        radicals.append(frozenset(powers))
+    for idx, comp in enumerate(comps):
+        others = comps[:idx] + comps[idx + 1 :]
+        if others:
+            assert not all(comp.contains(g) for g in _intersection(others).gens)
+    assert len(set(radicals)) == len(radicals)
+    assert associated_primes_monomial(I).all_primes == frozenset(radicals)
+
+
+def test_primary_decomposition_is_irredundant_on_200_seeded(r2):
+    x, y = r2.gens()
+    _assert_irredundant_primary_decomposition(Ideal(r2, (x**2, x * y)))  # embedded (x, y)
+    rng = seeded(83)
+    done = 0
+    while done < 200:
+        n = 2 + done % 5
+        ring = PolyRing(QQ, [f"x{i}" for i in range(1, n + 1)])
+        I = random_monomial_ideal(rng, ring, max_gens=4, max_degree=3)
+        if all(e <= 1 for m in monomial_exponents(I) for e in m):
+            continue
+        _assert_irredundant_primary_decomposition(I)
+        done += 1
+
+
 def test_associated_primes_examples(r2, r4):
     x, y = r2.gens()
     ass = associated_primes_monomial(Ideal(r2, (x**2, x * y)))
@@ -98,21 +145,6 @@ def test_associated_primes_examples(r2, r4):
     assert zero.all_primes == frozenset({frozenset()})
 
 
-def test_stanley_reisner_examples(r2, r4, flagship):
-    x, y = r2.gens()
-    sr = stanley_reisner(flagship)
-    assert set(sr.facets) == {frozenset({0, 1}), frozenset({2, 3})}
-
-    sr = stanley_reisner(Ideal(r2, (x, y)))
-    assert sr.facets == (frozenset(),)
-
-    sr = stanley_reisner(Ideal(r2, (x * y,)))
-    assert set(sr.facets) == {frozenset({0}), frozenset({1})}
-
-    with pytest.raises(ValueError):
-        stanley_reisner(Ideal(r2, (x**2,)))
-
-
 def test_hochster_examples(r2, flagship):
     x, y = r2.gens()
     assert hochster_pd(flagship) == 3
@@ -120,6 +152,14 @@ def test_hochster_examples(r2, flagship):
     xx, yy, zz, ww = ring.gens()
     assert hochster_pd(Ideal(ring, (xx * yy, zz * ww))) == 2
     assert hochster_pd(Ideal(r2, (x,))) == 1
+    assert hochster_pd(Ideal(r2, (x, y))) == 2  # the complex is {empty face}
+    assert hochster_pd(Ideal(r2, (x * y,))) == 1  # two points
+    with pytest.raises(ValueError):
+        hochster_pd(Ideal(r2, (x**2,)))
+    with pytest.raises(ValueError):
+        hochster_pd(Ideal(r2, (r2.one,)))
+    with pytest.raises(ValueError):
+        hochster_pd(Ideal(r2, ()))
 
 
 def test_hochster_guard():
@@ -129,10 +169,19 @@ def test_hochster_guard():
         hochster_pd(Ideal(ring, gens))
 
 
+def _faces(I):
+    """The Stanley-Reisner complex on all n vertices of the ring: every vertex
+    subset containing no generator support (unused variables are cone points)."""
+    n = I.ring.nvars
+    nonfaces = [_support(g.terms[0][0]) for g in I.gens]
+    subsets = (frozenset(c) for r in range(n + 1) for c in combinations(range(n), r))
+    return [s for s in subsets if not any(nf <= s for nf in nonfaces)]
+
+
 def _pd_over_all_restrictions(I):
     """Hochster's formula over every one of the 2^n vertex restrictions."""
     n = I.ring.nvars
-    faces = stanley_reisner(I).faces()
+    faces = _faces(I)
     best = 0
     for r in range(n + 1):
         for sigma in combinations(range(n), r):
@@ -160,13 +209,21 @@ def test_hochster_lattice_matches_all_restrictions(field):
 def test_restriction_outside_lcm_lattice_is_acyclic():
     ring = PolyRing(QQ, [f"x{i}" for i in range(1, 6)])
     x1, x2, x3, x4, x5 = ring.gens()
-    faces = stanley_reisner(Ideal(ring, (x1 * x2, x3 * x4))).faces()
+    faces = _faces(Ideal(ring, (x1 * x2, x3 * x4)))
     # {x1, x2, x5} is no union of generator supports: a cone on x5
     sigma = frozenset({0, 1, 4})
     assert reduced_homology_dims([f for f in faces if f <= sigma], QQ) == {}
     # {x1, x2} is in the lattice and carries homology
     sigma = frozenset({0, 1})
     assert reduced_homology_dims([f for f in faces if f <= sigma], QQ) == {0: 1}
+
+
+def test_hochster_with_variables_in_no_generator():
+    ring = PolyRing(QQ, [f"x{i}" for i in range(1, 9)])
+    x = ring.gens()
+    for gens in [(x[0] * x[1], x[2] * x[3]), (x[1] * x[4], x[4] * x[6]), (x[0] * x[2] * x[7],)]:
+        I = Ideal(ring, gens)
+        assert hochster_pd(I) == pd_via_resolution(I) == _pd_over_all_restrictions(I)
 
 
 @pytest.mark.parametrize("field, pd", [(QQ, 3), (GF(2), 4)], ids=["QQ", "GF2"])
@@ -209,15 +266,6 @@ def test_ext_nonvanishing_examples(r2, flagship):
     xx, yy, zz, ww = ring.gens()
     assert ext_nonvanishing_degrees(Ideal(ring, (xx * yy, zz * ww))) == {2}
     assert ext_nonvanishing_degrees(Ideal(r2, (x,))) == {1}
-
-
-def test_krull_dim_examples(r2, flagship):
-    x, y = r2.gens()
-    assert krull_dim_monomial(flagship) == 2
-    assert krull_dim_monomial(Ideal(r2, ())) == 2
-    assert krull_dim_monomial(Ideal(r2, (x, y))) == 0
-    with pytest.raises(ValueError):
-        krull_dim_monomial(Ideal(r2, (r2.one,)))
 
 
 def test_cd_is_radical_invariant():
@@ -268,3 +316,12 @@ def test_hochster_characteristic_dependence_runs_mod_p():
 
 def test_intersect_primes_empty_is_unit(r2):
     assert intersect_primes(r2, []).is_unit()
+
+
+def test_primes_containing(r4):
+    x1, x2, x3, x4 = r4.gens()
+    primes = {frozenset(), frozenset({0}), frozenset({2}), frozenset({1, 3})}
+    assert primes_containing(Ideal(r4, (x1 * x3,)), primes) == {frozenset({0}), frozenset({2})}
+    assert primes_containing(Ideal(r4, (x2, x4**2)), primes) == {frozenset({1, 3})}
+    assert primes_containing(Ideal(r4, ()), primes) == primes
+    assert primes_containing(Ideal(r4, (r4.one,)), primes) == set()

@@ -15,7 +15,8 @@ from liaison.linkage import (
     LinkageInstance,
     RegularSequenceWitness,
 )
-from liaison.monomials import AssociatedPrimes, SimplicialComplex
+from liaison.monomials import AssociatedPrimes
+from liaison.record import Record
 from liaison.resolutions import FreeResolution
 from liaison.rings import PolyRing
 
@@ -35,7 +36,6 @@ RECORDS = {
     InvariantRecord: ((1, 1, 2, None), True),
     LinkageInstance: ((R, M, J, J, W, None, "line 1"), True),
     AssociatedPrimes: ((frozenset({frozenset({0})}), frozenset({frozenset({0})})), True),
-    SimplicialComplex: ((2, (frozenset({0}), frozenset({1}))), True),
     FreeResolution: ((R, (1, 1), (((X,),),)), True),
 }
 FIELDS = {
@@ -47,7 +47,6 @@ FIELDS = {
     InvariantRecord: ("grade", "cd_lower", "cd_upper", "pd"),
     LinkageInstance: ("ring", "module", "a", "I", "witness", "b", "name"),
     AssociatedPrimes: ("all_primes", "minimal"),
-    SimplicialComplex: ("n_vertices", "facets"),
     FreeResolution: ("ring", "ranks", "diffs"),
 }
 CLASSES = sorted(RECORDS, key=lambda cls: cls.__name__)
@@ -85,11 +84,18 @@ def test_records_refuse_assignment(cls):
         delattr(record, FIELDS[cls][0])
 
 
+class _Pair(Record):
+    """Two fields, like AssociatedPrimes, but a different class."""
+
+    def __init__(self, all_primes, minimal):
+        self._set(locals())
+
+
 def test_equality_is_by_class_and_value():
     assert RegularSequenceWitness((X, Y)) == RegularSequenceWitness((X, Y))
     assert RegularSequenceWitness((X, Y)) != RegularSequenceWitness((Y, X))
     assert InvariantRecord(1, 1, 2, None) != InvariantRecord(1, 1, 2, 3)
-    assert AssociatedPrimes(frozenset(), frozenset()) != SimplicialComplex(frozenset(), frozenset())
+    assert AssociatedPrimes(frozenset(), frozenset()) != _Pair(frozenset(), frozenset())
     assert RegularSequenceWitness((X,)) != (X,)
     assert CyclicModule(R, J) != CyclicModule(R, Ideal(R, (X * Y,)))  # ideals compare by identity
 
