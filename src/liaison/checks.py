@@ -34,7 +34,6 @@ from .monomials import (
     is_monomial_ideal,
     monomial_exponents,
     monomial_radical,
-    prime_ideal,
     primes_containing,
 )
 from .record import Record
@@ -581,8 +580,8 @@ def check_t1(ring, corpus):
     ok = True
     examined = 0
     for inst in instances:
-        ass = associated_primes_monomial(inst.I)
-        if any(cd_monomial(prime_ideal(ring, p)) >= n for p in ass.all_primes):
+        # a prime generated by k variables has cd k
+        if any(len(p) >= n for p in associated_primes_monomial(inst.I).all_primes):
             continue
         t = inst.witness.length
         pool = [inst.a] + ([inst.b] if inst.b is not None else []) + [inst.I]

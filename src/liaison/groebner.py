@@ -89,7 +89,7 @@ def _work(row):
 
 def _row(ring, work):
     """The row of polynomials held in term dicts."""
-    return tuple(ring.poly(d.items()) for d in work)
+    return tuple(map(ring.from_dict, work))
 
 
 def _sub_term_mul(d, terms, shift, q, field):
@@ -151,7 +151,7 @@ def _normal_form(ring, work, basis, shadows=None, shadow=None):
                     break
             else:
                 r[m] = c
-        rem.append(ring.poly(r.items()))
+        rem.append(ring.from_dict(r))
     return tuple(rem)
 
 

@@ -47,11 +47,15 @@ def ideal_contains(I, J):
 
 
 def _extended_ring(ring):
-    return PolyRing(ring.field, ring.vars + (_AUX,), "elim_last")
+    """The ring with t appended, under the elimination order: one per ring
+    in a run, so that its order keys are computed once."""
+    return memo(
+        "elim_ring", ring, lambda: PolyRing(ring.field, ring.vars + (_AUX,), "elim_last")
+    )
 
 
 def _lift(p, ext):
-    return ext.poly((e + (0,), c) for e, c in p.terms)
+    return ext.from_dict({e + (0,): c for e, c in p.terms})
 
 
 def intersect_ideals(I, J):
@@ -81,7 +85,7 @@ def _intersect_by_elimination(I, J):
     # under the elimination order, a leading monomial free of t means the
     # whole polynomial is
     kept = [g for g in reduced_groebner_basis(gens, ext) if g.terms[0][0][-1] == 0]
-    return Ideal(ring, tuple(ring.poly((e[:-1], c) for e, c in g.terms) for g in kept))
+    return Ideal(ring, tuple(ring.from_dict({e[:-1]: c for e, c in g.terms}) for g in kept))
 
 
 def _quotient_by_poly(I, f):

@@ -29,11 +29,28 @@ def _key_elim_last(exps):
 _KEYS = {"lex": _key_lex, "grevlex": _key_grevlex, "elim_last": _key_elim_last}
 
 
+class _KeyCache(dict):
+    """The order keys of the exponent tuples seen so far.  A ring's key is
+    this dict's lookup: after the first one for a tuple, max() and sorted()
+    read its key without running any Python code."""
+
+    __slots__ = ("_key",)
+
+    def __init__(self, key):
+        super().__init__()
+        self._key = key
+
+    def __missing__(self, exps):
+        value = self[exps] = self._key(exps)
+        return value
+
+
 class PolyRing:
     """k[x1..xn] under a fixed global monomial order (lex or grevlex).
 
     Krull dimension equals the number of variables.  Rings compare equal iff
-    field, variable list, and order coincide.
+    field, variable list, and order coincide.  key maps an exponent tuple to
+    its sort key and remembers it.
     """
 
     __slots__ = ("field", "vars", "order", "key", "_index")
@@ -52,7 +69,7 @@ class PolyRing:
         self.field = field
         self.vars = variables
         self.order = order
-        self.key = _KEYS[order]
+        self.key = _KeyCache(_KEYS[order]).__getitem__
         self._index = {v: i for i, v in enumerate(variables)}
 
     @property
@@ -101,10 +118,18 @@ class PolyRing:
                 acc.pop(exps, None)
             else:
                 acc[exps] = cur
-        if acc:
-            limits.check_terms(len(acc), max(sum(e) for e in acc))
-        terms = tuple(sorted(acc.items(), key=lambda t: self.key(t[0]), reverse=True))
-        return Polynomial(self, terms)
+        return self.from_dict(acc)
+
+    def from_dict(self, d):
+        """Trusted constructor: the polynomial whose terms are the items of
+        d, distinct exponent tuples of this ring with nonzero canonical
+        coefficients.  Sorts them descending and enforces the resource caps
+        of the current run (see limits)."""
+        if not d:
+            return Polynomial(self, ())
+        limits.check_terms(len(d), max(map(sum, d)))
+        order = sorted(d, key=self.key, reverse=True)
+        return Polynomial(self, tuple(zip(order, map(d.__getitem__, order))))
 
     @property
     def zero(self):
@@ -112,7 +137,7 @@ class PolyRing:
 
     @property
     def one(self):
-        return self.poly([((0,) * self.nvars, self.field.one)])
+        return self.from_dict({(0,) * self.nvars: self.field.one})
 
     def monomial(self, exps, coeff=None):
         if coeff is None:
@@ -143,7 +168,8 @@ class Polynomial:
 
     def __init__(self, ring, terms):
         # Trusted constructor: terms must already be canonical.  Use
-        # PolyRing.poly for arbitrary input.
+        # PolyRing.poly for arbitrary input, PolyRing.from_dict for a term
+        # dict.
         self.ring = ring
         self.terms = terms
 
@@ -207,7 +233,7 @@ class Polynomial:
                     acc.pop(e, None)
                 else:
                     acc[e] = cur
-        return self.ring.poly(acc.items())
+        return self.ring.from_dict(acc)
 
     def __pow__(self, n):
         if n < 0:

@@ -15,6 +15,7 @@ from liaison.groebner import (
     reduced_groebner_basis,
 )
 from liaison.ideal_ops import (
+    _extended_ring,
     _intersect,
     _intersect_by_elimination,
     _quotient_by_poly,
@@ -28,6 +29,7 @@ from liaison.ideal_ops import (
     radicals_equal,
     saturate,
 )
+from liaison.limits import run_context
 from liaison.rings import PolyRing
 
 FLAGSHIP = Path(__file__).resolve().parent.parent / "corpus" / "flagship.link"
@@ -331,3 +333,11 @@ def test_monomial_inputs_never_reach_the_general_routes(name, tmp_path, monkeypa
         monkeypatch.setattr(ideal_ops, route, guard(route))
     assert _report(path, capsys) == expected
     assert reached == []
+
+
+def test_one_elimination_ring_per_ring_in_a_run(r3):
+    # its order keys, cached on it, then serve every elimination of the run
+    with run_context():
+        ext = _extended_ring(r3)
+        assert _extended_ring(PolyRing(r3.field, r3.vars, r3.order)) is ext
+    assert ext == PolyRing(r3.field, r3.vars + ("_t",), "elim_last")

@@ -16,6 +16,7 @@ from liaison.monomials import (
     monomial_exponents,
     monomial_radical,
     primary_decomposition_monomial,
+    prime_ideal,
     primes_containing,
     reduced_homology_dims,
 )
@@ -325,3 +326,12 @@ def test_primes_containing(r4):
     assert primes_containing(Ideal(r4, (x2, x4**2)), primes) == {frozenset({1, 3})}
     assert primes_containing(Ideal(r4, ()), primes) == primes
     assert primes_containing(Ideal(r4, (r4.one,)), primes) == set()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=str)
+def test_cd_of_a_coordinate_prime_is_its_size(field):
+    # check_t1 reads cd(p) as len(p) instead of asking Hochster
+    ring = PolyRing(field, [f"x{i}" for i in range(1, 6)])
+    for k in range(1, 6):
+        for p in combinations(range(5), k):
+            assert cd_monomial(prime_ideal(ring, frozenset(p))) == k

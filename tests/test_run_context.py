@@ -12,7 +12,7 @@ from liaison.checks import run_suite
 from liaison.cli import main
 from liaison.errors import ResourceLimitError, WitnessError
 from liaison.groebner import Ideal, reduced_groebner_basis
-from liaison.ideal_ops import ideal_quotient, intersect_ideals
+from liaison.ideal_ops import _extended_ring, ideal_quotient, intersect_ideals
 from liaison.instancefile import parse_instance
 from liaison.linkage import CyclicModule, RegularSequenceWitness, validate_witness
 from liaison.resolutions import ext_nonzero, free_resolution
@@ -138,6 +138,8 @@ def _fresh(kind, key):
     if kind == "ext":
         ring, a, J, i = key
         return ext_nonzero(i, Ideal(ring, a), Ideal(ring, J))
+    if kind == "elim_ring":
+        return _extended_ring(key)
     ring, elements, I, J = key
     try:
         validate_witness(
@@ -161,7 +163,15 @@ def test_memo_is_transparent_and_deterministic(monkeypatch):
             if kind in ("intersect", "quotient"):
                 value = value.gens
             assert value == _fresh(kind, key), (kind, key)
-    assert kinds == {"gb", "intersect", "quotient", "witness", "resolution", "ext"}
+    assert kinds == {
+        "gb",
+        "intersect",
+        "quotient",
+        "witness",
+        "resolution",
+        "ext",
+        "elim_ring",
+    }
 
 
 def test_memo_keys_keep_apart_what_computation_does(r3):
