@@ -18,8 +18,13 @@ from liaison import (
 ring = PolyRing(QQ, ["x", "y"])
 x, y = ring.gens()
 
-print("# intersection via elimination of an auxiliary variable")
+print("# intersection: pairwise lcms for monomial ideals, else the syzygy")
+print("# colon (I e1 + J e2) : (1, 1)")
 print("(x) cap (y) =", intersect_ideals(Ideal(ring, (x,)), Ideal(ring, (y,))).gens)
+print(
+    "(x + y) cap (x - y) =",
+    intersect_ideals(Ideal(ring, (x + y,)), Ideal(ring, (x - y,))).gens,
+)
 
 print()
 print("# colon ideals")
@@ -41,9 +46,14 @@ print(
 )
 
 print()
-print("# radical membership without computing the radical")
+print("# radical membership without computing the radical: f lies in sqrt(I)")
+print("# exactly when I : f^inf is the unit ideal")
 print("x in sqrt(x^2):", radical_membership(x, Ideal(ring, (x**2,))))
 print("x in sqrt(y):", radical_membership(x, Ideal(ring, (y,))))
+print(
+    "x + y in sqrt((x^2 - y^2)^2, x^3):",
+    radical_membership(x + y, Ideal(ring, ((x**2 - y**2) ** 2, x**3))),
+)
 print(
     "sqrt(xy) = sqrt((x) cap (y)):",
     radicals_equal(

@@ -14,7 +14,6 @@ from liaison.monomials import (
     cd_monomial,
     ext_nonvanishing_degrees,
     hochster_pd,
-    primary_decomposition_monomial,
 )
 from liaison.resolutions import free_resolution, grade_via_ext, pd_via_resolution
 
@@ -22,11 +21,10 @@ ring = PolyRing(QQ, ["x1", "x2", "x3", "x4"])
 x1, x2, x3, x4 = ring.gens()
 union_of_planes = Ideal(ring, (x1 * x3, x1 * x4, x2 * x3, x2 * x4))
 
-print("# primary decomposition and associated primes")
-for comp in primary_decomposition_monomial(union_of_planes):
-    print("  component:", comp.gens)
+print("# associated primes, from the irreducible components")
 ass = associated_primes_monomial(union_of_planes)
 print("associated primes:", sorted(sorted(p) for p in ass.all_primes))
+print("minimal primes:", sorted(sorted(p) for p in ass.minimal))
 print("unmixed:", ass.is_unmixed())
 
 print()

@@ -26,7 +26,7 @@ from .linkage import (
 )
 from .parse import TokenStream, parse_poly_tokens, tokenize
 from .record import Record
-from .rings import PolyRing, poly_str
+from .rings import ORDERS, PolyRing, poly_str
 
 _IDEAL_ARGS = ("a", "b", "I", "alt_I")
 _SEQ_ARGS = ("seq", "alt_seq")
@@ -128,7 +128,7 @@ def parse_ring_spec(ts, default_order=None):
     if default_order is not None and ts.peek().kind != "ident":
         return PolyRing(field, variables, default_order)
     order_tok = ts.expect_ident("monomial order")
-    if order_tok.value not in ("lex", "grevlex"):
+    if order_tok.value not in ORDERS:
         raise ParseError(
             f"unknown order {order_tok.value!r}", order_tok.line, order_tok.col
         )

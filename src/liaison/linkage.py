@@ -155,6 +155,8 @@ def is_geometrically_linked(a, b, I, M, witness):
 def candidate_link(a, I, M, witness):
     """b := IM :_M a, the only possible linkage partner of a by I over M."""
     validate_witness(witness, I, M)
+    if not any(a.gens):
+        raise WitnessError("a must be a nonzero ideal")
     J = M.defining_ideal
     shifted = ideal_sum(a, J)
     if not all(shifted.contains(g) for g in I.gens):
@@ -175,6 +177,8 @@ def s_membership(a, I, M, witness):
     if ideal_equal(IJ, aJ):
         raise ValueError("s-membership needs I strictly inside a")
     inner = ideal_quotient(IJ, a)
+    if not any(inner.gens):
+        return aJ.is_unit()  # IM :_R 0 is all of R
     return ideal_equal(ideal_quotient(IJ, inner), aJ)
 
 

@@ -1,6 +1,7 @@
 """Monomial-ideal combinatorics, computed from the exponent supports of the
-minimal generators: primary decomposition, associated primes, Hochster-formula
-projective dimension, and the cohomological-dimension oracle.
+minimal generators: irreducible decomposition, associated primes,
+Hochster-formula projective dimension, and the cohomological-dimension
+oracle.
 
 The cd oracle rests on two standard facts about a squarefree monomial ideal a
 over a polynomial ring: cd(a, R) equals pd(R/a), and H^i_a(R) is nonzero
@@ -12,7 +13,7 @@ reports record it.
 from itertools import combinations
 
 from .errors import ResourceLimitError
-from .groebner import Ideal, exp_divides, intersect_exponents, minimalize_exponents
+from .groebner import Ideal, exp_divides, minimalize_exponents
 from .ideal_ops import intersect_ideals
 from .record import Record
 
@@ -62,7 +63,7 @@ def _monomial_contains(big, small):
     return all(any(exp_divides(g, m) for g in big) for m in small)
 
 
-# -- primary decomposition ----------------------------------------------------
+# -- irreducible decomposition ------------------------------------------------
 
 
 def _irreducible_components(exps):
@@ -89,27 +90,6 @@ def _irreducible_components(exps):
         stack.append(minimalize_exponents(rest + [u]))
         stack.append(minimalize_exponents(rest + [v]))
     return sorted(c for c in found if not any(o != c and _monomial_contains(c, o) for o in found))
-
-
-def primary_decomposition_monomial(I):
-    """Irredundant primary decomposition of a proper monomial ideal: the
-    irredundant irreducible components merged by radical (an intersection of
-    primary ideals with one radical stays primary).  The intersection of the
-    result equals I exactly.
-    """
-    ring = I.ring
-    if I.is_unit():
-        raise ValueError("the unit ideal has no primary decomposition")
-    exps = monomial_exponents(I)
-    if not exps:
-        return [Ideal(ring, ())]  # the zero ideal is prime here
-    by_radical = {}
-    for comp in _irreducible_components(exps):
-        rad = frozenset().union(*(_support(m) for m in comp))
-        if rad in by_radical:
-            comp = tuple(intersect_exponents(by_radical[rad], comp))
-        by_radical[rad] = comp
-    return [_ideal_from_exponents(ring, comp) for comp in sorted(by_radical.values())]
 
 
 class AssociatedPrimes(Record):

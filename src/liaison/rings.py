@@ -8,7 +8,7 @@ operations are pure, so values can be shared freely between threads.
 from . import limits
 from .errors import RingMismatchError
 
-ORDERS = ("lex", "grevlex", "elim_last")
+ORDERS = ("lex", "grevlex")
 
 
 def _key_lex(exps):
@@ -19,14 +19,7 @@ def _key_grevlex(exps):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
-def _key_elim_last(exps):
-    # Block order: lex on the last variable over grevlex on the rest.  Used
-    # internally for eliminating one appended auxiliary variable.
-    front = exps[:-1]
-    return (exps[-1], sum(front), tuple(-e for e in reversed(front)))
-
-
-_KEYS = {"lex": _key_lex, "grevlex": _key_grevlex, "elim_last": _key_elim_last}
+_KEYS = {"lex": _key_lex, "grevlex": _key_grevlex}
 
 
 class _KeyCache(dict):

@@ -1,4 +1,6 @@
+import importlib.util
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ from liaison.instancefile import parse_instance
 from liaison.rings import PolyRing
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 CORPUS_FILES = (
     "flagship.link",
     "principal_pair.link",
@@ -100,3 +103,37 @@ def syzygy_oracle(rows):
     tagged = [tuple(g) + unit_vector(ring, n, i) for i, g in enumerate(rows)]
     basis = module_groebner_basis(tagged)
     return [row[rank:] for row in basis if not any(row[:rank])]
+
+
+def to_sympy(sympy, p, symbols, modulus):
+    """p as a sympy expression in symbols; GF(p) coefficients as integers."""
+    expr = sympy.Integer(0)
+    for exps, coeff in p.terms:
+        if modulus:
+            term = sympy.Integer(coeff)
+        else:
+            term = sympy.Rational(coeff.numerator, coeff.denominator)
+        for s, e in zip(symbols, exps):
+            term *= s**e
+        expr += term
+    return expr
+
+
+def from_sympy(poly, ring):
+    """The monic polynomial of ring with the terms of the sympy Poly poly."""
+    items = []
+    for exps, coeff in poly.terms():
+        if ring.field.characteristic:
+            items.append((exps, ring.field.of(int(coeff))))
+        else:
+            items.append((exps, Fraction(int(coeff.p), int(coeff.q))))
+    return ring.poly(items).monic()
+
+
+def load_perfbench(name, monkeypatch):
+    """The benchmark module perfbench/NAME.py, loaded from its file."""
+    monkeypatch.syspath_prepend(str(BENCH_DIR))  # run.py imports workloads
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", BENCH_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

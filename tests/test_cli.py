@@ -5,6 +5,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from conftest import load_perfbench
 import liaison.checks as checks_mod
 from liaison.checks import CheckId
 from liaison.cli import main, report_schema
@@ -309,6 +310,40 @@ def test_t1_global_skips_unit_ideals(ideals, t1_status, tmp_path, capsys):
     ]
 
 
+LINK_CHECKS = (
+    "L07", "L1", "T8_MV", "L5", "GRADE_FORMULA_T", "T5_CD", "C3_E3", "APRIME_T7", "C4",
+)
+
+
+def _statuses(text, tmp_path, capsys):
+    path = tmp_path / "instance.link"
+    path.write_text(text)
+    assert main(["run", str(path), "--format", "json"]) == 0
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    return [(v["check"], v["status"], v["details"]) for v in verdicts]
+
+
+def test_zero_a_is_inapplicable_not_an_abort(tmp_path, capsys):
+    # no partner is computed for a = 0: the colon by it is undefined
+    text = UNIT_IDEAL_HEAD + "ideal a = 0;\nideal I = x*y;\nregseq s = x*y;\n" + "".join(
+        f"check {name}(a = a, I = I, M = M, seq = s);\n" for name in LINK_CHECKS + ("S_REFLEX",)
+    ) + "check T1_GLOBAL();\n"
+    verdicts = _statuses(text, tmp_path, capsys)
+    hypothesis = {"hypothesis": "regular-sequence witness: a must be a nonzero ideal"}
+    assert verdicts[:-1] == [
+        (name, "inapplicable", hypothesis) for name in LINK_CHECKS + ("S_REFLEX",)
+    ]
+    assert verdicts[-1][:2] == ("T1_GLOBAL", "holds")
+
+
+def test_s_reflex_with_a_zero_candidate(tmp_path, capsys):
+    # over M = R with I = 0, the candidate 0 : a is 0, and 0 : 0 = R is not a
+    text = UNIT_IDEAL_HEAD + "ideal a = x;\nideal I = 0;\ncheck S_REFLEX(a = a, I = I, M = M);\n"
+    assert _statuses(text, tmp_path, capsys) == [
+        ("S_REFLEX", "holds", {"candidate": "0", "linked": False, "s_member": False})
+    ]
+
+
 PINNED = json.loads((ROOT / "perfbench" / "reference.json").read_text())["corpus"]
 
 
@@ -324,3 +359,16 @@ def test_corpus_report_matches_pinned_digest(name, capsys):
         del verdict["millis"]
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     assert (code, digest) == (PINNED[name]["exit"], PINNED[name]["report"])
+
+
+@pytest.mark.parametrize("workload", ["gen-wide", "nonmonomial"])
+def test_generated_reports_match_pinned_digests(workload, tmp_path, monkeypatch, capsys):
+    # the benchmark's reference-seed inputs, built the way the benchmark does
+    run = load_perfbench("run", monkeypatch)
+    built = run.workloads.build(workload, run.REFERENCE_SEED, ROOT, tmp_path, run.child_env())
+    pinned = run.load_reference()[workload]
+    assert sorted(p.name for p in built.files) == sorted(pinned)
+    for path in built.files:
+        code = main(["run", str(path), "--format", "json"])
+        digest = run.sha(run.normalized(json.loads(capsys.readouterr().out)))
+        assert (code, digest) == (pinned[path.name]["exit"], pinned[path.name]["report"]), path.name

@@ -2,11 +2,9 @@
 bases against sympy, module bases under shuffled generators, and syzygies of
 rank-1 and rank-2 rows against an elimination oracle."""
 
-from fractions import Fraction
-
 import pytest
 
-from conftest import random_polynomial, seeded, syzygy_oracle
+from conftest import from_sympy, random_polynomial, seeded, syzygy_oracle, to_sympy
 from liaison.fields import GF, QQ
 from liaison.groebner import (
     module_groebner_basis,
@@ -43,29 +41,6 @@ def _term(rng, ring):
     return ring.monomial(exps, ring.field.of(rng.randrange(1, 7)))
 
 
-def _to_sympy(sympy, p, symbols, modulus):
-    expr = sympy.Integer(0)
-    for exps, coeff in p.terms:
-        if modulus:
-            term = sympy.Integer(coeff)
-        else:
-            term = sympy.Rational(coeff.numerator, coeff.denominator)
-        for s, e in zip(symbols, exps):
-            term *= s**e
-        expr += term
-    return expr
-
-
-def _from_sympy(poly, ring):
-    items = []
-    for exps, coeff in poly.terms():
-        if ring.field.characteristic:
-            items.append((exps, ring.field.of(int(coeff))))
-        else:
-            items.append((exps, Fraction(int(coeff.p), int(coeff.q))))
-    return ring.poly(items).monic()
-
-
 @pytest.mark.parametrize("field,order", FIELDS_AND_ORDERS)
 def test_reduced_basis_matches_sympy(field, order):
     sympy = pytest.importorskip("sympy")
@@ -84,9 +59,9 @@ def test_reduced_basis_matches_sympy(field, order):
         options = {"order": order}
         if modulus:
             options["modulus"] = modulus
-        exprs = [_to_sympy(sympy, g, symbols, modulus) for g in gens]
+        exprs = [to_sympy(sympy, g, symbols, modulus) for g in gens]
         basis = sympy.groebner(exprs, *symbols, **options)
-        theirs = {_from_sympy(p, ring) for p in basis.polys}
+        theirs = {from_sympy(p, ring) for p in basis.polys}
         assert ours == theirs, gens
 
 

@@ -15,12 +15,9 @@ from liaison.groebner import (
     reduced_groebner_basis,
 )
 from liaison.ideal_ops import (
-    _extended_ring,
+    _colon,
     _intersect,
-    _intersect_by_elimination,
-    _quotient_by_poly,
-    _quotient_by_syzygies,
-    _radical_membership_by_elimination,
+    _quotient,
     ideal_contains,
     ideal_equal,
     ideal_quotient,
@@ -29,7 +26,6 @@ from liaison.ideal_ops import (
     radicals_equal,
     saturate,
 )
-from liaison.limits import run_context
 from liaison.rings import PolyRing
 
 FLAGSHIP = Path(__file__).resolve().parent.parent / "corpus" / "flagship.link"
@@ -62,6 +58,30 @@ FIELDS_AND_ORDERS = [(QQ, "lex"), (QQ, "grevlex"), (GF(7), "lex"), (GF(7), "grev
 
 def _product(I, J):
     return Ideal(I.ring, tuple(g * h for g in I.gens for h in J.gens))
+
+
+def _adjoin(ring):
+    """R[t] under lex with t first, and the map that lifts a polynomial of
+    ring into it."""
+    ext = PolyRing(ring.field, ("t",) + ring.vars, "lex")
+    return ext, ext.gen(0), lambda p: ext.from_dict({(0,) + e: c for e, c in p.terms})
+
+
+def _intersect_by_elimination(I, J):
+    """I cap J by eliminating t from t*I + (1-t)*J: the pair loop alone, no
+    syzygies."""
+    ring = I.ring
+    ext, t, lift = _adjoin(ring)
+    gens = [lift(g) * t for g in I.gens] + [lift(h) * (ext.one - t) for h in J.gens]
+    kept = [g for g in reduced_groebner_basis(gens, ext) if g.terms[0][0][0] == 0]
+    return Ideal(ring, tuple(ring.from_dict({e[1:]: c for e, c in g.terms}) for g in kept))
+
+
+def _radical_member_by_inversion(f, I):
+    """f in sqrt(I) when 1 lies in I + (1 - t*f)."""
+    ext, t, lift = _adjoin(I.ring)
+    gens = [lift(g) for g in I.gens] + [ext.one - t * lift(f)]
+    return reduced_groebner_basis(gens, ext) == (ext.one,)
 
 
 def test_intersection_examples(r2, r4):
@@ -158,7 +178,8 @@ def test_quotient_product_containment(r3):
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
 def test_syzygy_colon_matches_elimination(field):
     # (I : f) * f = I cap (f), with the intersection by elimination, so the
-    # oracle shares no syzygy computation with the colon under test
+    # oracle shares no syzygy computation with the colon under test; and the
+    # syzygy intersection against the same oracle
     ring = PolyRing(field, ["x", "y", "z"])
     rng = seeded(61)
     checked = 0
@@ -168,7 +189,9 @@ def test_syzygy_colon_matches_elimination(field):
         if len(f.terms) < 2 or all(g.is_monomial() for g in gens):
             continue
         I, F = Ideal(ring, tuple(gens)), Ideal(ring, (f,))
-        assert ideal_equal(_product(ideal_quotient(I, F), F), intersect_ideals(I, F))
+        expected = _intersect_by_elimination(I, F)
+        assert ideal_equal(_product(ideal_quotient(I, F), F), expected)
+        assert ideal_equal(intersect_ideals(I, F), expected)
         checked += 1
 
 
@@ -278,9 +301,10 @@ def _monomial_ideals(rng, ring, count):
 @pytest.mark.parametrize("field,order", FIELDS_AND_ORDERS)
 def test_monomial_rules_match_the_general_routes(field, order, nvars):
     # each monomial rule against the route it bypasses: the pair loop for the
-    # basis, elimination for the intersection, syzygies for the colon and the
+    # basis, the syzygy colon for intersection and quotient, and the
     # inverted-element trick for radical membership
     ring = PolyRing(field, [f"x{i}" for i in range(1, nvars + 1)], order)
+    one = ring.one
     rng = seeded(71 + nvars)
     ideals = _monomial_ideals(rng, ring, 12)
     for I in ideals:
@@ -291,13 +315,16 @@ def test_monomial_rules_match_the_general_routes(field, order, nvars):
             general = tuple(row[0] for row in _reduce(ring, G))
         assert reduced_groebner_basis(I.gens, ring) == general, I
     for I, J in zip(ideals, ideals[1:] + ideals[:1]):
-        assert _intersect(I, J).gens == _intersect_by_elimination(I, J).gens, (I, J)
-        for m in J.gens:
-            if not m.is_zero():
-                assert _quotient_by_poly(I, m).gens == _quotient_by_syzygies(I, m).gens
+        assert _intersect(I, J).gens == _colon(ring, (one, one), (I, J)).gens, (I, J)
+        gens = list(dict.fromkeys(g for g in J.gens if not g.is_zero()))
+        for g in gens:
+            assert _quotient(I, [g]).gens == _colon(ring, (g,), (I,)).gens, (I, g)
+        if gens:
+            expected = _colon(ring, gens, (I,) * len(gens)).gens
+            assert _quotient(I, gens).gens == expected, (I, J)
         for f in [*J.gens, random_polynomial(rng, ring, max_degree=3, max_terms=3)]:
             if not f.is_zero():
-                expected = _radical_membership_by_elimination(f, I)
+                expected = _radical_member_by_inversion(f, I)
                 assert radical_membership(f, I) == expected, (f, I)
 
 
@@ -325,19 +352,7 @@ def test_monomial_inputs_never_reach_the_general_routes(name, tmp_path, monkeypa
 
         return raising
 
-    for route in (
-        "_intersect_by_elimination",
-        "_quotient_by_syzygies",
-        "_radical_membership_by_elimination",
-    ):
+    for route in ("_colon", "saturate"):
         monkeypatch.setattr(ideal_ops, route, guard(route))
     assert _report(path, capsys) == expected
     assert reached == []
-
-
-def test_one_elimination_ring_per_ring_in_a_run(r3):
-    # its order keys, cached on it, then serve every elimination of the run
-    with run_context():
-        ext = _extended_ring(r3)
-        assert _extended_ring(PolyRing(r3.field, r3.vars, r3.order)) is ext
-    assert ext == PolyRing(r3.field, r3.vars + ("_t",), "elim_last")

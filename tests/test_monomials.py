@@ -6,8 +6,9 @@ from conftest import random_monomial_ideal, seeded
 from liaison.errors import ResourceLimitError
 from liaison.fields import GF, QQ
 from liaison.groebner import Ideal
-from liaison.ideal_ops import _intersect_by_elimination, ideal_equal
+from liaison.ideal_ops import _colon, ideal_equal
 from liaison.monomials import (
+    _irreducible_components,
     associated_primes_monomial,
     cd_monomial,
     ext_nonvanishing_degrees,
@@ -15,7 +16,6 @@ from liaison.monomials import (
     intersect_primes,
     monomial_exponents,
     monomial_radical,
-    primary_decomposition_monomial,
     prime_ideal,
     primes_containing,
     reduced_homology_dims,
@@ -43,19 +43,28 @@ def test_monomial_radical_examples(r2):
         monomial_radical(Ideal(r2, (x + y**2,)))
 
 
+def _components(I):
+    """The irreducible components of I, as ideals: an irreducible monomial
+    ideal is primary, so together they are a primary decomposition."""
+    return [
+        Ideal(I.ring, tuple(I.ring.monomial(e) for e in comp))
+        for comp in _irreducible_components(monomial_exponents(I))
+    ]
+
+
 def test_primary_decomposition_examples(r2, r4):
     x, y = r2.gens()
-    comps = primary_decomposition_monomial(Ideal(r2, (x**2, x * y)))
+    # (x^2, xy) = (x) cap (x^2, y), the second component embedded
+    assert _irreducible_components([(2, 0), (1, 1)]) == [((0, 1), (2, 0)), ((1, 0),)]
+    assert _irreducible_components([(1, 1)]) == [((0, 1),), ((1, 0),)]
+    comps = _components(Ideal(r2, (x**2, x * y)))
     expected = [Ideal(r2, (x,)), Ideal(r2, (x**2, y))]
     assert len(comps) == 2
     for e in expected:
         assert any(ideal_equal(c, e) for c in comps)
 
-    comps = primary_decomposition_monomial(Ideal(r2, (x * y,)))
-    assert len(comps) == 2
-
     x1, x2, x3, x4 = r4.gens()
-    comps = primary_decomposition_monomial(Ideal(r4, (x1 * x3, x2 * x4)))
+    comps = _components(Ideal(r4, (x1 * x3, x2 * x4)))
     expected_primes = [
         Ideal(r4, (x1, x2)),
         Ideal(r4, (x1, x4)),
@@ -67,6 +76,15 @@ def test_primary_decomposition_examples(r2, r4):
         assert any(ideal_equal(c, e) for c in comps)
 
 
+def _intersection(ideals):
+    """The intersection by the general syzygy route, not the pairwise-lcm
+    rule the components are split by."""
+    result = ideals[0]
+    for ideal in ideals[1:]:
+        result = _colon(ideal.ring, (ideal.ring.one,) * 2, (result, ideal))
+    return result
+
+
 def test_decomposition_soundness_50_seeded():
     ring = PolyRing(QQ, [f"x{i}" for i in range(1, 7)])
     rng = seeded(61)
@@ -74,40 +92,27 @@ def test_decomposition_soundness_50_seeded():
         I = random_monomial_ideal(rng, ring, max_gens=4, max_degree=3)
         if I.is_unit():
             continue
-        comps = primary_decomposition_monomial(I)
-        # the decomposition merges components by the pairwise-lcm rule, so
-        # the rebuild takes the elimination route
-        back = comps[0]
-        for comp in comps[1:]:
-            back = _intersect_by_elimination(back, comp)
-        assert ideal_equal(back, I)
-
-
-def _intersection(ideals):
-    result = ideals[0]
-    for ideal in ideals[1:]:
-        result = _intersect_by_elimination(result, ideal)
-    return result
+        assert ideal_equal(_intersection(_components(I)), I)
 
 
 def _assert_irredundant_primary_decomposition(I):
-    """The four facts that, by the first uniqueness theorem, fix Ass(R/I) as
-    the set of radicals of the components."""
-    comps = primary_decomposition_monomial(I)
+    """The irreducible components intersect to I, each is generated by pure
+    powers of distinct variables (so primary, with those variables as its
+    radical), none contains the intersection of the others, and their
+    radicals are Ass(R/I)."""
+    comps = _components(I)
     assert ideal_equal(_intersection(comps), I)
     radicals = []
     for comp in comps:
         exps = monomial_exponents(comp)
-        powers = {i for e in exps for i in _support(e) if len(_support(e)) == 1}
-        # primary: every generator lives on variables the component holds a
-        # pure power of, so those variables are its radical
-        assert all(_support(e) <= powers for e in exps)
-        radicals.append(frozenset(powers))
+        assert all(len(_support(e)) == 1 for e in exps)
+        support = [min(_support(e)) for e in exps]
+        assert len(set(support)) == len(support)
+        radicals.append(frozenset(support))
     for idx, comp in enumerate(comps):
         others = comps[:idx] + comps[idx + 1 :]
         if others:
             assert not all(comp.contains(g) for g in _intersection(others).gens)
-    assert len(set(radicals)) == len(radicals)
     assert associated_primes_monomial(I).all_primes == frozenset(radicals)
 
 

@@ -12,7 +12,7 @@ from liaison.checks import run_suite
 from liaison.cli import main
 from liaison.errors import ResourceLimitError, WitnessError
 from liaison.groebner import Ideal, reduced_groebner_basis
-from liaison.ideal_ops import _extended_ring, ideal_quotient, intersect_ideals
+from liaison.ideal_ops import ideal_quotient, intersect_ideals
 from liaison.instancefile import parse_instance
 from liaison.linkage import CyclicModule, RegularSequenceWitness, validate_witness
 from liaison.resolutions import ext_nonzero, free_resolution
@@ -138,8 +138,6 @@ def _fresh(kind, key):
     if kind == "ext":
         ring, a, J, i = key
         return ext_nonzero(i, Ideal(ring, a), Ideal(ring, J))
-    if kind == "elim_ring":
-        return _extended_ring(key)
     ring, elements, I, J = key
     try:
         validate_witness(
@@ -170,7 +168,6 @@ def test_memo_is_transparent_and_deterministic(monkeypatch):
         "witness",
         "resolution",
         "ext",
-        "elim_ring",
     }
 
 

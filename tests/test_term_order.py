@@ -14,7 +14,7 @@ from liaison.fields import GF, QQ
 from liaison.groebner import _normal_form, _work, module_normal_form, reduce_normal_form
 from liaison.rings import _KEYS, PolyRing
 
-ORDERS = ("lex", "grevlex", "elim_last")
+ORDERS = ("lex", "grevlex")
 FIELDS = (QQ, GF(7))
 VARS = ["x1", "x2", "x3", "x4", "x5"]
 
@@ -39,12 +39,7 @@ def _greater(order, a, b):
     """a > b in the order, from its definition."""
     if order == "lex":
         return _lex_greater(a, b)
-    if order == "grevlex":
-        return _grevlex_greater(a, b)
-    # elim_last: the last exponent first, then grevlex on the others
-    if a[-1] != b[-1]:
-        return a[-1] > b[-1]
-    return _grevlex_greater(a[:-1], b[:-1])
+    return _grevlex_greater(a, b)
 
 
 def _exponents(rng, n, max_degree=4):
