@@ -9,17 +9,19 @@ library's built-in cross-check.
 """
 
 from liaison import Ideal, PolyRing, QQ
-from liaison.monomials import (
-    associated_primes_monomial,
-    cd_monomial,
-    ext_nonvanishing_degrees,
-    hochster_pd,
+from liaison.linkage import free_module
+from liaison.monomials import associated_primes_monomial, cd_monomial, hochster_pd
+from liaison.resolutions import (
+    free_resolution,
+    grade_via_ext,
+    nonzero_ext_degrees,
+    pd_via_resolution,
 )
-from liaison.resolutions import free_resolution, grade_via_ext, pd_via_resolution
 
 ring = PolyRing(QQ, ["x1", "x2", "x3", "x4"])
 x1, x2, x3, x4 = ring.gens()
 union_of_planes = Ideal(ring, (x1 * x3, x1 * x4, x2 * x3, x2 * x4))
+R = free_module(ring)
 
 print("# associated primes, from the irreducible components")
 ass = associated_primes_monomial(union_of_planes)
@@ -37,6 +39,6 @@ print("pd via resolution:", pd_via_resolution(union_of_planes))
 
 print()
 print("# grade and cohomological dimension")
-print("grade:", grade_via_ext(union_of_planes, None))
+print("grade:", grade_via_ext(union_of_planes, R))
 print("cd:", cd_monomial(union_of_planes))
-print("nonvanishing Ext degrees:", sorted(ext_nonvanishing_degrees(union_of_planes)))
+print("nonvanishing Ext degrees:", list(nonzero_ext_degrees(union_of_planes, R)))

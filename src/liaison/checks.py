@@ -14,7 +14,7 @@ from enum import Enum
 from . import limits
 from .errors import ResourceLimitError, WitnessError
 from .groebner import Ideal, ideal_sum
-from .ideal_ops import ideal_equal, ideal_quotient, intersect_ideals, radicals_equal
+from .ideal_ops import ideal_contains, ideal_equal, intersect_ideals, radicals_equal
 from .linkage import (
     CyclicModule,
     RegularSequenceWitness,
@@ -22,13 +22,13 @@ from .linkage import (
     candidate_link,
     cd_oracle,
     cd_principal_cyclic,
+    free_module,
     is_geometrically_linked,
     is_linked,
     s_membership,
 )
 from .monomials import (
     associated_primes_monomial,
-    ext_nonvanishing_degrees,
     cd_monomial,
     intersect_primes,
     is_monomial_ideal,
@@ -37,7 +37,7 @@ from .monomials import (
     primes_containing,
 )
 from .record import Record
-from .resolutions import grade_via_ext
+from .resolutions import grade_via_ext, nonzero_ext_degrees
 
 
 class CheckId(Enum):
@@ -108,7 +108,7 @@ def _require_proper_sum(inst, b):
     """a + b, when (a + b)M != M; otherwise every cd and grade of a + b on M
     is undefined."""
     ab = ideal_sum(inst.a, b)
-    if ideal_sum(ab, inst.module.defining_ideal).is_unit():
+    if inst.module.kills(ab):
         raise Inapplicable("a + b acts as the unit ideal on M")
     return ab
 
@@ -122,7 +122,7 @@ def _require_monomial(*ideals):
 def _unmixed_ass(inst):
     """Ass(M/IM) for monomial I + J with no embedded prime, together with the
     primes containing a and the excluded primes (those not containing a)."""
-    IJ = ideal_sum(inst.I, inst.module.defining_ideal)
+    IJ = inst.module.plus_ann(inst.I)
     _require_monomial(IJ)
     ass = associated_primes_monomial(IJ)
     if not ass.is_unmixed():
@@ -131,11 +131,15 @@ def _unmixed_ass(inst):
     return ass.all_primes, in_v_a, set(ass.all_primes) - in_v_a
 
 
-def _aprime(inst):
-    """a' of the instance, when the witness is a maximal regular sequence in a."""
-    if grade_via_ext(inst.a, inst.module) != inst.witness.length:
+def _aprime(inst, I, witness):
+    """a' of the instance from the linking ideal I (with monomial I + J), when
+    the witness is a maximal regular sequence in a and I lies in a + J; then
+    some associated prime of M/IM contains a, by prime avoidance."""
+    if grade_via_ext(inst.a, inst.module) != witness.length:
         raise Inapplicable("witness is not a maximal regular sequence in a")
-    return aprime_construct(inst.a, inst.I, inst.module, inst.witness)
+    if not ideal_contains(inst.module.plus_ann(inst.a), I):
+        raise Inapplicable("the linking ideal is not contained in a modulo J")
+    return aprime_construct(inst.a, I, inst.module, witness)
 
 
 # -- structure checks (radical identities and Ass containment) ------------------
@@ -146,12 +150,12 @@ def check_structure(inst):
     I = 0 also sqrt(J:a) = sqrt(b+J); with monomial data, the Ass containment
     Ass(M/aM) within Ass(M/IM)."""
     b = _require_linked(inst)
-    J = inst.module.defining_ideal
+    M = inst.module
     details = {}
     ok = True
 
-    lhs = ideal_sum(inst.I, J)
-    rhs = ideal_sum(intersect_ideals(inst.a, b), J)
+    lhs = M.plus_ann(inst.I)
+    rhs = M.plus_ann(intersect_ideals(inst.a, b))
     clause1 = radicals_equal(lhs, rhs)
     details["radical_I_plus_ann"] = _gens_str(lhs)
     details["radical_ab_plus_ann"] = _gens_str(rhs)
@@ -159,10 +163,8 @@ def check_structure(inst):
     ok = ok and clause1
 
     if inst.I.is_zero():
-        ann_colon = ideal_quotient(J, inst.a) if not J.is_zero() else Ideal(
-            inst.ring, ()
-        )
-        clause2 = radicals_equal(ann_colon, ideal_sum(b, J))
+        ann_colon = M.colon(inst.I, inst.a)
+        clause2 = radicals_equal(ann_colon, M.plus_ann(b))
         details["zero_link_colon"] = _gens_str(ann_colon)
         details["zero_link_radicals_agree"] = clause2
         ok = ok and clause2
@@ -177,9 +179,8 @@ def check_structure(inst):
 
 def _ass_contained(inst, details):
     """Ass(M/aM) within Ass(M/IM), for monomial a + J and I + J."""
-    J = inst.module.defining_ideal
-    aJ = ideal_sum(inst.a, J)
-    IJ = ideal_sum(inst.I, J)
+    aJ = inst.module.plus_ann(inst.a)
+    IJ = inst.module.plus_ann(inst.I)
     _require_monomial(aJ, IJ)
     ass_a = associated_primes_monomial(aJ).all_primes
     ass_i = associated_primes_monomial(IJ).all_primes
@@ -210,7 +211,7 @@ def _pattern_applies(inst):
 
 def _vanishing_pattern(inst, grade_ab, details):
     """Ext^i(R/a, R) is nonzero only for i in {grade a, grade(a + b)}."""
-    degrees = ext_nonvanishing_degrees(inst.a)
+    degrees = set(nonzero_ext_degrees(inst.a, inst.module))
     allowed = {grade_via_ext(inst.a, inst.module), grade_ab}
     details["nonvanishing_degrees"] = sorted(degrees)
     details["allowed_degrees"] = sorted(allowed)
@@ -226,8 +227,7 @@ def _zero_link_cd(inst, b, details):
         return None
     f = gb_a[0]
     lhs = cd_principal_cyclic(f, inst.module)
-    J = inst.module.defining_ideal
-    rhs = cd_principal_cyclic(f, CyclicModule(inst.ring, ideal_sum(b, J)))
+    rhs = cd_principal_cyclic(f, CyclicModule(inst.ring, inst.module.plus_ann(b)))
     details["cd_a_on_M"] = lhs
     details["cd_a_on_M_mod_bM"] = rhs
     return lhs == rhs
@@ -338,7 +338,6 @@ def check_cd_formula(inst):
     b = _require_linked(inst)
     M = inst.module
     ring = inst.ring
-    J = M.defining_ideal
     primes, in_v_a, excluded = _unmixed_ass(inst)
 
     details = {"ass_mod_I": _primes_str(primes)}
@@ -360,15 +359,14 @@ def check_cd_formula(inst):
         details["branch"] = "excluded primes present"
         c = intersect_primes(ring, excluded)
         details["c"] = _gens_str(c)
-        IJ = ideal_sum(inst.I, J)
-        rad_ok = radicals_equal(IJ, ideal_sum(intersect_ideals(inst.a, c), J))
+        rad_ok = radicals_equal(M.plus_ann(inst.I), M.plus_ann(intersect_ideals(inst.a, c)))
         details["radical_I_eq_a_cap_c"] = rad_ok
         grade_ac = grade_via_ext(ideal_sum(inst.a, c), M)
         jump_ok = grade_ac >= grade_a + 1
         details["grade_a_plus_c"] = grade_ac
         details["grade_jump_holds"] = jump_ok
         contained = intersect_primes(ring, in_v_a)
-        e1_ok = radicals_equal(ideal_sum(inst.a, J), contained)
+        e1_ok = radicals_equal(M.plus_ann(inst.a), contained)
         details["sqrt_a_decomposition_holds"] = e1_ok
         ok = rad_ok and jump_ok and e1_ok
         if cd_a is not None:
@@ -438,26 +436,27 @@ def _all_radical_monomial_ideals(ring):
 def check_aprime(inst, alternate=None):
     """The smallest-radical-fixed-ideal construction: containment, double-colon
     fixedness, radicality, independence of the linking ideal (against
-    alternate, an (ideal, witness) pair), brute-force minimality in small
-    rings, and the radical identity on linked radical instances."""
+    alternate, an (ideal, witness) pair, recorded as skipped when the
+    alternate is outside the hypotheses of _aprime or its witness is
+    invalid), brute-force minimality in small rings, and the radical
+    identity on linked radical instances."""
     M = inst.module
     ring = inst.ring
-    J = M.defining_ideal
-    IJ = ideal_sum(inst.I, J)
+    IJ = M.plus_ann(inst.I)
     _require_monomial(IJ)
     try:
         b = _require_linked(inst)
     except Inapplicable:
         b = None
-    ap = _aprime(inst)
+    ap = _aprime(inst, inst.I, inst.witness)
     details = {"grade_a": inst.witness.length, "aprime": _gens_str(ap)}
     ok = True
 
-    contain = all(ap.contains(g) for g in inst.a.gens)
+    contain = ideal_contains(ap, inst.a)
     details["a_contained"] = contain
     ok = ok and contain
 
-    apJ = ideal_sum(ap, J)
+    apJ = M.plus_ann(ap)
     if ideal_equal(IJ, apJ):
         # the construction presumes the sequence was deepened so that I sits
         # strictly inside a'; nothing to test against this linking ideal
@@ -472,28 +471,31 @@ def check_aprime(inst, alternate=None):
 
     if alternate is not None:
         alt_I, alt_witness = alternate
-        ap_alt = aprime_construct(inst.a, alt_I, M, alt_witness)
-        same = ideal_equal(ap_alt, ap)
+        try:
+            _require_monomial(M.plus_ann(alt_I))
+            same = ideal_equal(_aprime(inst, alt_I, alt_witness), ap)
+            ok = ok and same
+        except (Inapplicable, WitnessError) as exc:
+            same = f"skipped ({exc})"
         details["alternate_I_same_aprime"] = same
-        ok = ok and same
 
     if ring.nvars <= 4:
         minimal_ok = True
         for cand in _all_radical_monomial_ideals(ring):
-            if not all(cand.contains(g) for g in inst.a.gens):
+            if not ideal_contains(cand, inst.a):
                 continue
-            candJ = ideal_sum(cand, J)
+            candJ = M.plus_ann(cand)
             if ideal_equal(IJ, candJ) or candJ.is_unit():
                 continue
             if not s_membership(cand, inst.I, M, inst.witness):
                 continue
-            if not all(cand.contains(g) for g in ap.gens):
+            if not ideal_contains(cand, ap):
                 minimal_ok = False
                 break
         details["brute_force_minimality"] = minimal_ok
         ok = ok and minimal_ok
 
-    aJ = ideal_sum(inst.a, J)
+    aJ = M.plus_ann(inst.a)
     if b is not None and is_monomial_ideal(aJ) and ideal_equal(aJ, monomial_radical(aJ)):
         c4 = ideal_equal(aJ, apJ)
         details["sqrt_a_equals_aprime"] = c4
@@ -505,9 +507,9 @@ def check_c4(inst):
     """sqrt(a + Ann M) equals the intersection of associated primes over a
     (the a' construction), on linked instances."""
     _require_linked(inst)
-    _require_monomial(ideal_sum(inst.I, inst.module.defining_ideal))
-    ap = _aprime(inst)
-    aJ = ideal_sum(inst.a, inst.module.defining_ideal)
+    _require_monomial(inst.module.plus_ann(inst.I))
+    ap = _aprime(inst, inst.I, inst.witness)
+    aJ = inst.module.plus_ann(inst.a)
     ok = radicals_equal(aJ, ap)
     details = {"aprime": _gens_str(ap), "sqrt_a_plus_ann": _gens_str(aJ)}
     return ok, details, None
@@ -517,11 +519,10 @@ def check_s_reflex(inst):
     """Reflexivity criterion: a is linked to its double-colon candidate
     exactly when a is fixed by the double colon."""
     M = inst.module
-    J = M.defining_ideal
-    if ideal_equal(ideal_sum(inst.I, J), ideal_sum(inst.a, J)):
+    if ideal_equal(M.plus_ann(inst.I), M.plus_ann(inst.a)):
         raise Inapplicable("I equals a modulo J")
     cand = candidate_link(inst.a, inst.I, M, inst.witness)
-    if ideal_sum(cand, J).is_unit() or cand.is_zero():
+    if M.kills(cand) or cand.is_zero():
         lhs = False
     else:
         lhs = is_linked(inst.a, cand, inst.I, M, inst.witness)
@@ -538,7 +539,7 @@ def check_c11(ring, corpus):
     monomial complete intersection inside their intersection."""
     if ring.nvars < 4:
         raise Inapplicable("needs at least four variables")
-    M = CyclicModule(ring, Ideal(ring, ()))
+    M = free_module(ring)
     v = [ring.gen(i) for i in range(4)]
     a = Ideal(ring, (v[0], v[1]))
     b = Ideal(ring, (v[2], v[3]))
@@ -588,7 +589,7 @@ def check_t1(ring, corpus):
         for candidate in pool:
             if not is_monomial_ideal(candidate) or candidate.is_zero() or candidate.is_unit():
                 continue
-            if not all(candidate.contains(g) for g in inst.I.gens):
+            if not ideal_contains(candidate, inst.I):
                 continue
             if grade_via_ext(candidate, inst.module) != t:
                 continue
@@ -607,7 +608,7 @@ def check_c1(ring, corpus):
     complete intersection with one squared variable); the universally
     quantified reading is not checked."""
     n = ring.nvars
-    M = CyclicModule(ring, Ideal(ring, ()))
+    M = free_module(ring)
     gens = [ring.gen(i) for i in range(n)]
     m = Ideal(ring, tuple(gens))
     details = {
@@ -661,12 +662,11 @@ def _describe_inputs(args):
     out = {}
     for arg in args:
         if hasattr(arg, "witness") and hasattr(arg, "a"):  # LinkageInstance
-            J = arg.module.defining_ideal
             out["instance"] = {
                 "a": _gens_str(arg.a),
                 "b": None if arg.b is None else _gens_str(arg.b),
                 "I": _gens_str(arg.I),
-                "J": _gens_str(J),
+                "J": _gens_str(arg.module.defining_ideal),
                 "sequence": [repr(p) for p in arg.witness.elements],
             }
         elif hasattr(arg, "vars"):  # PolyRing
@@ -691,7 +691,7 @@ def run_check(check_id, *args, **kwargs):
         witness = None
     except WitnessError as exc:
         status = INAPPLICABLE
-        details = {"hypothesis": f"regular-sequence witness: {exc}"}
+        details = {"hypothesis": str(exc)}
         witness = None
     except ResourceLimitError as exc:
         status = FAILS

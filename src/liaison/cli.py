@@ -13,7 +13,7 @@ from . import __version__, limits
 from .checks import FAILS, run_suite
 from .errors import LiaisonError, ParseError, ResourceLimitError
 from .groebner import Ideal
-from .ideal_ops import ideal_quotient, intersect_ideals
+from .ideal_ops import intersect_ideals
 from .instancefile import (
     PROFILES,
     instance_digest,
@@ -151,10 +151,8 @@ def _cmd_compute(args):
     by = None
     if args.by is not None:
         by = Ideal(ring, tuple(_parse_arg(args.by, parse_poly_list, ring)))
-    module_ideal = Ideal(ring, ())
-    if args.module is not None:
-        module_ideal = Ideal(ring, tuple(_parse_arg(args.module, parse_poly_list, ring)))
-    module = CyclicModule(ring, module_ideal)
+    module_gens = () if args.module is None else _parse_arg(args.module, parse_poly_list, ring)
+    module = CyclicModule(ring, Ideal(ring, tuple(module_gens)))
 
     def show_ideal(I):
         gb = I.groebner()
@@ -166,8 +164,7 @@ def _cmd_compute(args):
     elif op == "colon":
         if by is None:
             raise ValueError("colon needs --by")
-        shifted = Ideal(ring, ideal.gens + module_ideal.gens)
-        print(show_ideal(ideal_quotient(shifted, by)))
+        print(show_ideal(module.colon(ideal, by)))
     elif op == "intersect":
         if by is None:
             raise ValueError("intersect needs --by")

@@ -21,7 +21,7 @@ from .checks import CheckId
 from .fields import QQ
 from .groebner import Ideal
 from .instancefile import PROFILES, parse_instance
-from .linkage import CyclicModule, RegularSequenceWitness, is_geometrically_linked
+from .linkage import RegularSequenceWitness, free_module, is_geometrically_linked
 from .monomials import (
     associated_primes_monomial,
     intersect_primes,
@@ -133,7 +133,7 @@ def generate_instances(seed, profile, count, nvars):
 
     rng = random.Random(seed)
     ring = _ring(nvars)
-    M = CyclicModule(ring, Ideal(ring, ()))
+    M = free_module(ring)
     lines = [
         f"# generated: profile={profile} seed={seed} count={count} vars={nvars}",
         f"ring R = QQ[{', '.join(ring.vars)}] grevlex;",

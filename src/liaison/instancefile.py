@@ -9,7 +9,8 @@ Grammar (semicolon-terminated statements, '#' comments, one ring per file):
     check CHECKID ( argname = NAME {, argname = NAME} ) ;
 
 Check arguments: a, b, I (ideals), M (module), seq, alt_seq (regseqs),
-alt_I (ideal).  `seq` is omitted exactly when I is the zero ideal.
+alt_I (ideal).  `seq` is omitted exactly when I is the zero ideal, and
+`alt_seq` exactly when alt_I is.
 """
 
 import hashlib
@@ -50,18 +51,11 @@ class InstanceFile(Record):
 
     # -- directive resolution ------------------------------------------------
 
-    def _witness_for(self, directive, seq_key, ideal_key):
-        ideal = self.ideals[directive.args[ideal_key]]
+    def _witness_for(self, directive, seq_key):
+        """The named sequence, or the empty witness of a zero linking ideal
+        (parse_instance demands a sequence for a nonzero one)."""
         seq_name = directive.args.get(seq_key)
-        if seq_name is None:
-            if ideal.gens:
-                raise ParseError(
-                    f"check needs {seq_key}= for a nonzero linking ideal",
-                    directive.line,
-                    1,
-                )
-            return EMPTY_WITNESS
-        return RegularSequenceWitness(self.regseqs[seq_name])
+        return EMPTY_WITNESS if seq_name is None else RegularSequenceWitness(self.regseqs[seq_name])
 
     def instance_for(self, directive):
         args = directive.args
@@ -72,7 +66,7 @@ class InstanceFile(Record):
             module=module,
             a=self.ideals[args["a"]],
             I=self.ideals[args["I"]],
-            witness=self._witness_for(directive, "seq", "I"),
+            witness=self._witness_for(directive, "seq"),
             b=b,
             name=f"line {directive.line}",
         )
@@ -80,9 +74,7 @@ class InstanceFile(Record):
     def alternate_for(self, directive):
         if "alt_I" not in directive.args:
             return None
-        alt = self.ideals[directive.args["alt_I"]]
-        witness = self._witness_for(directive, "alt_seq", "alt_I")
-        return alt, witness
+        return self.ideals[directive.args["alt_I"]], self._witness_for(directive, "alt_seq")
 
     def instances(self):
         out = []
@@ -280,12 +272,13 @@ def parse_instance(text):
                             id_tok.line,
                             id_tok.col,
                         )
-                if "seq" not in args and ideals[args["I"]].gens:
-                    raise ParseError(
-                        "check needs seq= for a nonzero linking ideal",
-                        id_tok.line,
-                        id_tok.col,
-                    )
+                for ideal_key, seq_key in zip(("I", "alt_I"), _SEQ_ARGS):
+                    if ideal_key in args and seq_key not in args and ideals[args[ideal_key]].gens:
+                        raise ParseError(
+                            f"check needs {seq_key}= for a nonzero linking ideal",
+                            id_tok.line,
+                            id_tok.col,
+                        )
             directives.append(CheckDirective(check_id, args, head.line))
         else:
             raise ParseError(

@@ -1,14 +1,17 @@
 """Linkage of ideals over cyclic modules.
 
-With M = R/J, the module colon IM :_M a equals (q/J)M for q = (I+J) : a, so
-every predicate here reduces to exact ideal arithmetic: a and b are linked by
-I over M iff (I+J) : a = b+J and (I+J) : b = a+J, geometrically linked iff
-additionally (a+J) cap (b+J) = I+J.
+With M = R/J, the paper's IM, aM and IM :_M a are the ideals I + J, a + J
+and (I + J) : a, and CyclicModule is the one place that builds them.  Every
+predicate here reduces to exact ideal arithmetic through it: a and b are
+linked by I over M iff M.colon(I, a) = M.plus_ann(b) and M.colon(I, b) =
+M.plus_ann(a), geometrically linked iff additionally M.plus_ann(a) cap
+M.plus_ann(b) = M.plus_ann(I).
 """
 
 from .errors import RingMismatchError, WitnessError
 from .groebner import Ideal, ideal_sum
 from .ideal_ops import (
+    ideal_contains,
     ideal_equal,
     ideal_quotient,
     intersect_ideals,
@@ -28,7 +31,12 @@ from .resolutions import grade_via_ext, pd_via_resolution
 
 
 class CyclicModule(Record):
-    """M = R/J for a proper ideal J; Ann M = J and aM != M iff a+J is proper."""
+    """M = R/J for a proper ideal J, so Ann M = J.
+
+    IM = (I + J)M and IM :_M a = ((I + J) : a)M, so the submodules that
+    linkage over M compares are named by ideals; plus_ann, kills and colon
+    are the one place that builds those ideals from J.
+    """
 
     def __init__(self, ring, defining_ideal):
         self._set(locals())
@@ -39,6 +47,18 @@ class CyclicModule(Record):
 
     def is_free(self):
         return self.defining_ideal.is_zero()
+
+    def plus_ann(self, I):
+        """I + Ann M, the largest ideal q with qM = IM."""
+        return ideal_sum(I, self.defining_ideal)
+
+    def kills(self, I):
+        """Is IM = M, that is, is I + Ann M the unit ideal?"""
+        return self.plus_ann(I).is_unit()
+
+    def colon(self, I, a):
+        """IM :_M a as the ideal (I + Ann M) : a; a must be nonzero."""
+        return ideal_quotient(self.plus_ann(I), a)
 
     def __repr__(self):
         j = self.defining_ideal
@@ -68,8 +88,8 @@ EMPTY_WITNESS = RegularSequenceWitness(())
 def is_regular_sequence(xs, M):
     """Is xs an M-regular sequence, tested in the given order?
 
-    Each step demands ((x_1..x_{i-1}) + J) : (x_i) = (x_1..x_{i-1}) + J, and
-    the whole sequence must keep (x_1..x_t)M != M.
+    Each step demands (x_1..x_{i-1})M :_M x_i = (x_1..x_{i-1})M, and the
+    whole sequence must keep (x_1..x_t)M != M.
     """
     xs = list(xs)
     if not xs:
@@ -78,17 +98,13 @@ def is_regular_sequence(xs, M):
     for x in xs:
         if x.ring != ring:
             raise RingMismatchError("sequence element from a different ring")
-    J = M.defining_ideal
     for i, x in enumerate(xs):
         if x.is_zero():
             return False
-        prefix = Ideal(ring, tuple(xs[:i]) + J.gens)
-        colon = ideal_quotient(prefix, Ideal(ring, (x,)))
-        if not ideal_equal(colon, prefix):
+        prefix = Ideal(ring, tuple(xs[:i]))
+        if not ideal_equal(M.colon(prefix, Ideal(ring, (x,))), M.plus_ann(prefix)):
             return False
-    if Ideal(ring, tuple(xs) + J.gens).is_unit():
-        return False
-    return True
+    return not M.kills(Ideal(ring, tuple(xs)))
 
 
 def validate_witness(witness, I, M):
@@ -102,54 +118,41 @@ def validate_witness(witness, I, M):
 def _witness_error(witness, I, M):
     """Why the witness is invalid for I over M, or None when it is valid."""
     if not ideal_equal(Ideal(M.ring, witness.elements), I):
-        return "witness elements do not generate the linking ideal"
-    if witness.length == 0:
-        return None if I.is_zero() else "nonzero linking ideal with an empty witness"
-    if not is_regular_sequence(witness.elements, M):
-        return "witness is not an M-regular sequence"
-    return None
-
-
-def module_colon(I, a, M):
-    """The unique largest ideal q with qM = IM :_M a, namely (I + J) : a."""
-    if a.is_zero():
-        raise ValueError("module colon by the zero ideal")
-    J = M.defining_ideal
-    return ideal_quotient(ideal_sum(I, J), a)
+        reason = "witness elements do not generate the linking ideal"
+    elif witness.length == 0:
+        reason = None if I.is_zero() else "nonzero linking ideal with an empty witness"
+    elif not is_regular_sequence(witness.elements, M):
+        reason = "witness is not an M-regular sequence"
+    else:
+        reason = None
+    return reason and f"regular-sequence witness: {reason}"
 
 
 def _check_link_preconditions(a, b, I, M, witness):
     validate_witness(witness, I, M)
-    J = M.defining_ideal
-    ring = M.ring
     for name, ideal in (("a", a), ("b", b)):
         if ideal.is_zero():
             raise WitnessError(f"{name} must be a nonzero ideal")
-        if Ideal(ring, ideal.gens + J.gens).is_unit():
+        if M.kills(ideal):
             raise WitnessError(f"{name}M = M: {name}+J is the unit ideal")
     for target in (a, b):
-        shifted = ideal_sum(target, J)
-        if not all(shifted.contains(g) for g in I.gens):
+        if not ideal_contains(M.plus_ann(target), I):
             raise WitnessError("I is not contained in a and b modulo J")
 
 
 def is_linked(a, b, I, M, witness):
     """a ~ b by I over M: IM :_M a = bM and IM :_M b = aM."""
     _check_link_preconditions(a, b, I, M, witness)
-    J = M.defining_ideal
-    IJ = ideal_sum(I, J)
-    return ideal_equal(ideal_quotient(IJ, a), ideal_sum(b, J)) and ideal_equal(
-        ideal_quotient(IJ, b), ideal_sum(a, J)
-    )
+    linked = ideal_equal(M.colon(I, a), M.plus_ann(b))
+    return linked and ideal_equal(M.colon(I, b), M.plus_ann(a))
 
 
 def is_geometrically_linked(a, b, I, M, witness):
     """Linked, and additionally aM cap bM = IM."""
     if not is_linked(a, b, I, M, witness):
         return False
-    J = M.defining_ideal
-    lhs = intersect_ideals(ideal_sum(a, J), ideal_sum(b, J))
-    return ideal_equal(lhs, ideal_sum(I, J))
+    lhs = intersect_ideals(M.plus_ann(a), M.plus_ann(b))
+    return ideal_equal(lhs, M.plus_ann(I))
 
 
 def candidate_link(a, I, M, witness):
@@ -157,11 +160,9 @@ def candidate_link(a, I, M, witness):
     validate_witness(witness, I, M)
     if not any(a.gens):
         raise WitnessError("a must be a nonzero ideal")
-    J = M.defining_ideal
-    shifted = ideal_sum(a, J)
-    if not all(shifted.contains(g) for g in I.gens):
+    if not ideal_contains(M.plus_ann(a), I):
         raise WitnessError("I is not contained in a modulo J")
-    return module_colon(I, a, M)
+    return M.colon(I, a)
 
 
 def s_membership(a, I, M, witness):
@@ -171,22 +172,20 @@ def s_membership(a, I, M, witness):
     a = IM : (IM : a); the degenerate I = a case is rejected.
     """
     validate_witness(witness, I, M)
-    J = M.defining_ideal
-    IJ = ideal_sum(I, J)
-    aJ = ideal_sum(a, J)
-    if ideal_equal(IJ, aJ):
+    aJ = M.plus_ann(a)
+    if ideal_equal(M.plus_ann(I), aJ):
         raise ValueError("s-membership needs I strictly inside a")
-    inner = ideal_quotient(IJ, a)
+    inner = M.colon(I, a)
     if not any(inner.gens):
         return aJ.is_unit()  # IM :_R 0 is all of R
-    return ideal_equal(ideal_quotient(IJ, inner), aJ)
+    return ideal_equal(M.colon(I, inner), aJ)
 
 
 def aprime_construct(a, I, M, witness):
     """The smallest radical double-colon-fixed ideal over a: the intersection
     of the associated primes of M/IM that contain a."""
     validate_witness(witness, I, M)
-    IJ = ideal_sum(I, M.defining_ideal)
+    IJ = M.plus_ann(I)
     if not is_monomial_ideal(IJ):
         raise ValueError("associated primes need monomial I + J")
     selected = primes_containing(a, associated_primes_monomial(IJ).all_primes)
@@ -204,11 +203,9 @@ def cd_principal_cyclic(f, M):
     """
     if f.is_zero():
         raise ValueError("cd of the zero element")
-    J = M.defining_ideal
-    if radical_membership(f, J):
+    if radical_membership(f, M.defining_ideal):
         return 0
-    ring = M.ring
-    if Ideal(ring, (f,) + J.gens).is_unit():
+    if M.kills(Ideal(M.ring, (f,))):
         raise ValueError("(f) + J is the unit ideal and f is not nilpotent on M")
     return 1
 
@@ -252,8 +249,7 @@ def cd_bounds(a, M):
     ring = M.ring
     if a.is_unit():
         raise ValueError("cd of the unit ideal is undefined")
-    J = M.defining_ideal
-    if Ideal(ring, a.gens + J.gens).is_unit():
+    if M.kills(a):
         raise ValueError("aM = M: cd is undefined")
     grade = grade_via_ext(a, M)
     exact = cd_oracle(a, M)

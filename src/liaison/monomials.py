@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .errors import ResourceLimitError
 from .groebner import Ideal, exp_divides, minimalize_exponents
-from .ideal_ops import intersect_ideals
+from .ideal_ops import ideal_contains, intersect_ideals
 from .record import Record
 
 MAX_COMPLEX_VARS = 12  # hochster_pd enumerates subsets of the support union, at most 2^n
@@ -126,12 +126,7 @@ def prime_ideal(ring, prime):
 def primes_containing(I, primes):
     """The monomial primes (variable-index sets) among the given ones that
     contain I."""
-    out = set()
-    for p in primes:
-        pid = prime_ideal(I.ring, p)
-        if all(pid.contains(g) for g in I.gens):
-            out.add(p)
-    return out
+    return {p for p in primes if ideal_contains(prime_ideal(I.ring, p), I)}
 
 
 def intersect_primes(ring, primes):
@@ -266,15 +261,3 @@ def cd_monomial(a):
         raise ValueError("cd of the unit ideal is undefined")
     return hochster_pd(monomial_radical(a))
 
-
-def ext_nonvanishing_degrees(a):
-    """{i : Ext^i(R/a, R) != 0} for squarefree monomial a; for such ideals
-    this is also the set of degrees where local cohomology of R survives."""
-    from .resolutions import nonzero_ext_degrees
-
-    for m in monomial_exponents(a):
-        if any(e > 1 for e in m):
-            raise ValueError("not a squarefree monomial ideal")
-    if a.is_zero() or a.is_unit():
-        raise ValueError("need a proper nonzero ideal")
-    return set(nonzero_ext_degrees(a))

@@ -4,15 +4,16 @@ dimension.
 Resolutions are built by iterated syzygy computation; unit (nonzero constant)
 entries are pruned as they appear, which splits off trivial exact summands and
 keeps the Hilbert length bound enforceable.  On homogeneous input the pruned
-resolution is minimal.  Ext^i(R/a, R/J) is read off the transposed resolution
-of R/a with kernels taken relative to J-multiples.  Within one run
-(limits.run_context), resolutions are memoized on the ring and the ordered
-distinct nonzero generators, on which their matrices depend, and Ext answers
-on the ring, the sets of nonzero generators of a and J, and the degree.
+resolution is minimal.  Ext and grade take the module, a cyclic M = R/J
+(linkage.CyclicModule; free_module(ring) is M = R): Ext^i(R/a, R/J) is read
+off the transposed resolution of R/a with kernels taken relative to
+J-multiples.  Within one run (limits.run_context), resolutions are memoized
+on the ring and the ordered distinct nonzero generators, on which their
+matrices depend, and Ext answers on the ring, the sets of nonzero generators
+of a and J, and the degree.
 """
 
 from .groebner import (
-    Ideal,
     module_groebner_basis,
     module_normal_form,
     syzygy_module,
@@ -145,16 +146,6 @@ def pd_via_resolution(a):
 # -- Ext against cyclic modules -------------------------------------------------
 
 
-def _module_relations(M):
-    """Accept a CyclicModule-like object, an Ideal, or None (meaning R)."""
-    if M is None:
-        return None
-    ideal = getattr(M, "defining_ideal", M)
-    if isinstance(ideal, Ideal):
-        return ideal
-    raise TypeError("expected a cyclic module, an ideal, or None")
-
-
 def _transpose_column(res, i, r):
     """Row r of d_i as a row of R^{ranks[i]} (a column of the transposed
     map)."""
@@ -163,8 +154,6 @@ def _transpose_column(res, i, r):
 
 def _j_unit_vectors(ring, rank, J):
     out = []
-    if J is None:
-        return out
     for j in J.gens:
         if j.is_zero():
             continue
@@ -198,18 +187,18 @@ def _image_basis(res, i, J):
     return module_groebner_basis(gens)
 
 
-def ext_nonzero(i, a, M=None):
-    """Is Ext^i(R/a, M) nonzero, for cyclic M = R/J (None means M = R)?"""
+def ext_nonzero(i, a, M):
+    """Is Ext^i(R/a, M) nonzero, for cyclic M = R/J?"""
     if i < 0:
         raise ValueError("negative Ext degree")
-    return _ext_nonzero(free_resolution(a), i, a, _module_relations(M))
+    return _ext_nonzero(free_resolution(a), i, a, M.defining_ideal)
 
 
 def _ext_nonzero(res, i, a, J):
     """Ext^i(R/a, R/J) != 0, read off res, a resolution of R/a."""
     if i > res.length:
         return False
-    key = (a.ring, a.gens_key(), frozenset() if J is None else J.gens_key(), i)
+    key = (a.ring, a.gens_key(), J.gens_key(), i)
     return memo("ext", key, lambda: _ext_survives(res, i, J))
 
 
@@ -219,20 +208,17 @@ def _ext_survives(res, i, J):
     return any(any(module_normal_form(v, image)) for v in kernel)
 
 
-def nonzero_ext_degrees(a, M=None):
+def nonzero_ext_degrees(a, M):
     """The degrees i with Ext^i(R/a, M) != 0, ascending and lazily, all read
     off one resolution of R/a."""
-    J = _module_relations(M)
+    J = M.defining_ideal
     res = free_resolution(a)
     return (i for i in range(res.length + 1) if _ext_nonzero(res, i, a, J))
 
 
-def grade_via_ext(a, M=None):
+def grade_via_ext(a, M):
     """grade_M(a) = min{i : Ext^i(R/a, M) != 0}; rejected when aM = M."""
-    J = _module_relations(M)
-    ring = a.ring
-    total_gens = list(a.gens) + (list(J.gens) if J is not None else [])
-    if Ideal(ring, tuple(total_gens)).is_unit():
+    if M.kills(a):
         raise ValueError("grade is undefined: the ideal acts as the unit on M")
     for grade in nonzero_ext_degrees(a, M):
         return grade

@@ -329,7 +329,7 @@ def test_zero_a_is_inapplicable_not_an_abort(tmp_path, capsys):
         f"check {name}(a = a, I = I, M = M, seq = s);\n" for name in LINK_CHECKS + ("S_REFLEX",)
     ) + "check T1_GLOBAL();\n"
     verdicts = _statuses(text, tmp_path, capsys)
-    hypothesis = {"hypothesis": "regular-sequence witness: a must be a nonzero ideal"}
+    hypothesis = {"hypothesis": "a must be a nonzero ideal"}
     assert verdicts[:-1] == [
         (name, "inapplicable", hypothesis) for name in LINK_CHECKS + ("S_REFLEX",)
     ]
@@ -342,6 +342,40 @@ def test_s_reflex_with_a_zero_candidate(tmp_path, capsys):
     assert _statuses(text, tmp_path, capsys) == [
         ("S_REFLEX", "holds", {"candidate": "0", "linked": False, "s_member": False})
     ]
+
+
+APRIME_HEAD = """\
+ring R = QQ[x1, x2, x3, x4] grevlex;
+ideal a = x1*x3, x1*x4, x2*x3, x2*x4;
+ideal I = x1*x3, x2*x4;
+module M = quotient 0;
+regseq s = x1*x3, x2*x4;
+"""
+
+
+@pytest.mark.parametrize(
+    "alt, alt_seq, reason",
+    [
+        ("x1*x3 + x2*x4, x1*x4 + x2*x3", None, "non-monomial data: associated primes unavailable"),
+        ("x1, x3", None, "the linking ideal is not contained in a modulo J"),
+        ("x1*x3", None, "witness is not a maximal regular sequence in a"),
+        (
+            "x1*x4, x2*x3",
+            "x1*x4, x1*x4",
+            "regular-sequence witness: witness elements do not generate the linking ideal",
+        ),
+    ],
+    ids=["non_monomial", "not_in_a", "not_maximal", "bad_witness"],
+)
+def test_aprime_alternate_outside_its_hypotheses_is_skipped(alt, alt_seq, reason, tmp_path, capsys):
+    # a' of the flagship is checked; only the alternate linking ideal is skipped
+    text = APRIME_HEAD + f"ideal I2 = {alt};\nregseq s2 = {alt_seq or alt};\n" + (
+        "check APRIME_T7(a = a, I = I, M = M, seq = s, alt_I = I2, alt_seq = s2);\n"
+    )
+    [(check, status, details)] = _statuses(text, tmp_path, capsys)
+    assert (check, status) == ("APRIME_T7", "holds")
+    assert details["alternate_I_same_aprime"] == f"skipped ({reason})"
+    assert details["s_membership"] is True
 
 
 PINNED = json.loads((ROOT / "perfbench" / "reference.json").read_text())["corpus"]

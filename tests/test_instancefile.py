@@ -76,6 +76,18 @@ def test_missing_seq_for_nonzero_I_rejected():
     assert "seq" in str(err.value)
 
 
+def test_missing_alt_seq_for_nonzero_alt_I_rejected_at_the_check_id():
+    text = FLAGSHIP_MIN.replace(
+        "check T5_CD(a = a, I = I, M = M, seq = s);\n",
+        "ideal I2 = x1*x4, x2*x3;\n"
+        "check APRIME_T7(a = a, I = I, M = M, seq = s, alt_I = I2);\n",
+    )
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert "needs alt_seq=" in str(err.value)
+    assert (err.value.line, err.value.col) == (7, 7)
+
+
 def test_zero_ideal_literal_and_empty_witness():
     text = (
         "ring R = QQ[x, y] grevlex;\n"

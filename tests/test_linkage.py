@@ -15,7 +15,6 @@ from liaison.linkage import (
     is_geometrically_linked,
     is_linked,
     is_regular_sequence,
-    module_colon,
     s_membership,
 )
 from liaison.monomials import associated_primes_monomial, monomial_radical
@@ -46,16 +45,29 @@ def test_module_colon_examples(r2):
     x, y = r2.gens()
     M = free_module(r2)
     assert ideal_equal(
-        module_colon(Ideal(r2, (x * y,)), Ideal(r2, (x,)), M), Ideal(r2, (y,))
+        M.colon(Ideal(r2, (x * y,)), Ideal(r2, (x,))), Ideal(r2, (y,))
     )
     torsion = CyclicModule(r2, Ideal(r2, (x * y,)))
     assert ideal_equal(
-        module_colon(Ideal(r2, ()), Ideal(r2, (x,)), torsion), Ideal(r2, (y,))
+        torsion.colon(Ideal(r2, ()), Ideal(r2, (x,))), Ideal(r2, (y,))
     )
     # a inside I + J gives the unit ideal
-    assert module_colon(Ideal(r2, (x,)), Ideal(r2, (x**2,)), M).is_unit()
+    assert M.colon(Ideal(r2, (x,)), Ideal(r2, (x**2,))).is_unit()
     with pytest.raises(ValueError):
-        module_colon(Ideal(r2, (x,)), Ideal(r2, ()), M)
+        M.colon(Ideal(r2, (x,)), Ideal(r2, ()))
+
+
+def test_plus_ann_and_kills(r2):
+    x, y = r2.gens()
+    torsion = CyclicModule(r2, Ideal(r2, (x * y,)))
+    assert ideal_equal(torsion.plus_ann(Ideal(r2, (x,))), Ideal(r2, (x,)))
+    assert ideal_equal(torsion.plus_ann(Ideal(r2, (y**2,))), Ideal(r2, (x * y, y**2)))
+    assert ideal_equal(torsion.plus_ann(Ideal(r2, ())), Ideal(r2, (x * y,)))
+    # (x - 1)M = M on M = R/(x), though x - 1 is not a unit of R
+    line = CyclicModule(r2, Ideal(r2, (x,)))
+    assert line.kills(Ideal(r2, (x - r2.one,)))
+    assert not line.kills(Ideal(r2, (y,)))
+    assert not free_module(r2).kills(Ideal(r2, (x - r2.one,)))
 
 
 def test_is_linked_examples(r2, r4, flag):
@@ -80,10 +92,10 @@ def test_invalid_witness_rejected(r2):
     x, y = r2.gens()
     M = free_module(r2)
     bad = RegularSequenceWitness((x**2, x * y))
-    with pytest.raises(WitnessError):
+    with pytest.raises(WitnessError, match="^regular-sequence witness: witness is not an M-"):
         is_linked(Ideal(r2, (x, y)), Ideal(r2, (x, y)), Ideal(r2, (x**2, x * y)), M, bad)
     # witness must generate I
-    with pytest.raises(WitnessError):
+    with pytest.raises(WitnessError, match="^regular-sequence witness: witness elements do not"):
         is_linked(
             Ideal(r2, (x,)),
             Ideal(r2, (y,)),

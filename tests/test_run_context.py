@@ -137,7 +137,7 @@ def _fresh(kind, key):
         return free_resolution(Ideal(ring, gens))
     if kind == "ext":
         ring, a, J, i = key
-        return ext_nonzero(i, Ideal(ring, a), Ideal(ring, J))
+        return ext_nonzero(i, Ideal(ring, a), CyclicModule(ring, Ideal(ring, J)))
     ring, elements, I, J = key
     try:
         validate_witness(
