@@ -26,6 +26,7 @@ from .linkage import (
     is_geometrically_linked,
     is_linked,
     s_membership,
+    validate_witness,
 )
 from .monomials import (
     associated_primes_monomial,
@@ -413,23 +414,35 @@ def check_e3_identity(inst):
 # -- a' construction --------------------------------------------------------------
 
 
-def _all_radical_monomial_ideals(ring):
-    """Every squarefree monomial ideal of the ring (antichains of supports),
-    zero and unit ideals excluded.  Exponential; callers gate on <= 4 vars.
+def _radical_monomial_ideals_containing(a):
+    """Every squarefree monomial ideal of a's ring that contains a, zero and
+    unit ideals excluded; for the zero ideal a, all of them.  Exponential;
+    callers gate on <= 4 vars.
 
     Supports are the variable bitmasks 1 .. 2^n - 1, each folded into the
     antichains it is incomparable with.  The list stays ordered by the subset
     mask of each antichain over the supports (a support's chains extend the
     list in its order, with a new highest bit), which is the order in which a
-    scan over all sets of supports first meets each antichain."""
+    scan over all sets of supports first meets each antichain.
+
+    A monomial ideal contains a polynomial exactly when it contains each of
+    its terms, and an antichain's ideal contains a monomial exactly when one
+    of its supports lies inside the monomial's support.  So containment of a
+    is decided on bitmasks, and an Ideal is built only for an antichain that
+    passes."""
+    ring = a.ring
     n = ring.nvars
     antichains = [()]
     for s in range(1, 1 << n):
         antichains += [c + (s,) for c in antichains if all(t & s != t for t in c)]
+    term_supports = {
+        sum(1 << i for i, e in enumerate(exps) if e) for g in a.gens for exps, _ in g.terms
+    }
     ideals = []
     for chain in antichains[1:]:
-        exps = sorted(tuple(s >> i & 1 for i in range(n)) for s in chain)
-        ideals.append(Ideal(ring, tuple(ring.monomial(e) for e in exps)))
+        if all(any(t & m == t for t in chain) for m in term_supports):
+            exps = sorted(tuple(s >> i & 1 for i in range(n)) for s in chain)
+            ideals.append(Ideal(ring, tuple(ring.monomial(e) for e in exps)))
     return ideals
 
 
@@ -439,7 +452,15 @@ def check_aprime(inst, alternate=None):
     alternate, an (ideal, witness) pair, recorded as skipped when the
     alternate is outside the hypotheses of _aprime or its witness is
     invalid), brute-force minimality in small rings, and the radical
-    identity on linked radical instances."""
+    identity on linked radical instances.
+
+    Minimality, in rings of at most 4 variables: every squarefree monomial
+    ideal cand containing a, with cand + J neither I + J nor the unit ideal,
+    that the double colon fixes must contain a' modulo J = Ann M (a' holds
+    J).  Only an s-member with a' outside cand + J breaks this, so a' within
+    cand + J is tested first and the double colon runs only on candidates
+    that fail it: the same verdict, and none at all on linked instances over
+    M = R, where a' = sqrt(a) (C4)."""
     M = inst.module
     ring = inst.ring
     IJ = M.plus_ann(inst.I)
@@ -481,15 +502,13 @@ def check_aprime(inst, alternate=None):
 
     if ring.nvars <= 4:
         minimal_ok = True
-        for cand in _all_radical_monomial_ideals(ring):
-            if not ideal_contains(cand, inst.a):
-                continue
+        for cand in _radical_monomial_ideals_containing(inst.a):
             candJ = M.plus_ann(cand)
-            if ideal_equal(IJ, candJ) or candJ.is_unit():
+            # a unit candJ contains a'; candJ = I + J does not (a' is strictly
+            # larger), and s_membership rejects it
+            if ideal_contains(candJ, ap) or ideal_equal(IJ, candJ):
                 continue
-            if not s_membership(cand, inst.I, M, inst.witness):
-                continue
-            if not ideal_contains(cand, ap):
+            if s_membership(cand, inst.I, M, inst.witness):
                 minimal_ok = False
                 break
         details["brute_force_minimality"] = minimal_ok
@@ -581,6 +600,11 @@ def check_t1(ring, corpus):
     ok = True
     examined = 0
     for inst in instances:
+        # t = grade I only for a valid witness
+        try:
+            validate_witness(inst.witness, inst.I, inst.module)
+        except WitnessError:
+            continue
         # a prime generated by k variables has cd k
         if any(len(p) >= n for p in associated_primes_monomial(inst.I).all_primes):
             continue

@@ -41,6 +41,23 @@ def corpus_files():
     return {name: (CORPUS_DIR / name).read_text() for name in CORPUS_FILES}
 
 
+@pytest.fixture
+def degree_four_file(tmp_path):
+    """An instance file whose S_REFLEX check builds the degree-4 monomial
+    x^2*y^2 (in the colon of (x^3, y^3) by (x, y)): a run exits 3 under
+    --degree-cap 3 and 0 under the default cap."""
+    path = tmp_path / "degree_four.link"
+    path.write_text(
+        "ring R = QQ[x, y] grevlex;\n"
+        "ideal a = x, y;\n"
+        "ideal I = x^3, y^3;\n"
+        "module M = quotient 0;\n"
+        "regseq s = x^3, y^3;\n"
+        "check S_REFLEX(a = a, I = I, M = M, seq = s);\n"
+    )
+    return path
+
+
 @pytest.fixture(scope="session")
 def corpus_instances(corpus_files):
     """(file name, LinkageInstance) pairs from every shipped corpus file."""

@@ -1,19 +1,24 @@
 import pytest
 
+from conftest import random_polynomial, seeded
+import liaison.checks as checks_mod
+import liaison.linkage as linkage_mod
 from liaison.checks import (
     FAILS,
     HOLDS,
     INAPPLICABLE,
     CheckId,
-    _all_radical_monomial_ideals,
+    _radical_monomial_ideals_containing,
     run_check,
     run_suite,
 )
 from liaison.groebner import Ideal, minimalize_exponents
 from liaison.instancefile import parse_instance
 from liaison.linkage import LinkageInstance, RegularSequenceWitness, free_module
+from liaison.parse import parse_polynomial
 from liaison.rings import PolyRing
-from liaison.fields import QQ
+from liaison.fields import GF, QQ
+from liaison.ideal_ops import ideal_contains
 
 
 @pytest.fixture(scope="module")
@@ -189,7 +194,114 @@ def _radical_ideals_by_subset_scan(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_radical_ideals_match_subset_scan(n):
     ring = PolyRing(QQ, [f"x{i}" for i in range(1, n + 1)])
-    ideals = _all_radical_monomial_ideals(ring)
-    gens = [tuple(g.terms[0][0] for g in I.gens) for I in ideals]
+    ideals = _radical_monomial_ideals_containing(Ideal(ring, ()))
+    gens = [_exponents(I) for I in ideals]
     assert gens == _radical_ideals_by_subset_scan(n)
     assert len(gens) == {1: 1, 2: 4, 3: 18, 4: 166}[n]
+
+
+def _exponents(I):
+    return tuple(g.terms[0][0] for g in I.gens)
+
+
+def _support_filter_cases():
+    """(ring, a) pairs: fixed monomial, non-monomial and mixed-degree a, then
+    seeded random a, over QQ (grevlex) and GF(3) (lex)."""
+    fixed = {
+        1: ["x1", "x1^2", "x1 + 1"],
+        2: ["x1*x2", "x1^2, x2", "x1 + x2", "x1^2 + x2"],
+        3: ["x1 + x2*x3", "x1^2*x3 + x2, x3^2", "x1*x2*x3", "x2^3 + x1*x3 + x1"],
+        4: ["x1*x3, x2*x4", "x1 + x2*x3", "x1*x4^2 + x2^2*x3 + x3, x4", "x1*x2 - x3*x4"],
+    }
+    rng = seeded(16)
+    cases = []
+    for n, texts in fixed.items():
+        for field, order in ((QQ, "grevlex"), (GF(3), "lex")):
+            ring = PolyRing(field, [f"x{i}" for i in range(1, n + 1)], order)
+            for text in texts:
+                gens = tuple(parse_polynomial(t, ring) for t in text.split(", "))
+                cases.append((ring, Ideal(ring, gens)))
+            for _ in range(6):
+                gens = tuple(random_polynomial(rng, ring) for _ in range(rng.randrange(1, 3)))
+                cases.append((ring, Ideal(ring, gens)))
+    return cases
+
+
+@pytest.mark.parametrize("ring, a", _support_filter_cases())
+def test_support_filter_keeps_exactly_the_containing_candidates(ring, a):
+    everything = _radical_monomial_ideals_containing(Ideal(ring, ()))
+    expected = [_exponents(c) for c in everything if ideal_contains(c, a)]
+    assert [_exponents(c) for c in _radical_monomial_ideals_containing(a)] == expected
+
+
+def _flagship_aprime(parsed):
+    directive = next(d for d in parsed.directives if d.check is CheckId.APRIME_T7)
+    return run_check(
+        CheckId.APRIME_T7,
+        parsed.instance_for(directive),
+        alternate=parsed.alternate_for(directive),
+    )
+
+
+def test_aprime_minimality_bites_on_a_wrong_aprime(monkeypatch, flagship_parsed):
+    true_ass = linkage_mod.associated_primes_monomial
+
+    def drop_largest(J):
+        ass = true_ass(J)
+        largest = max(ass.all_primes, key=lambda p: (len(p), sorted(p)))
+        return type(ass)(ass.all_primes - {largest}, ass.minimal - {largest})
+
+    monkeypatch.setattr(linkage_mod, "associated_primes_monomial", drop_largest)
+    verdict = _flagship_aprime(flagship_parsed)
+    assert verdict.details["brute_force_minimality"] is False
+
+
+def test_aprime_runs_the_double_colon_only_for_aprime(monkeypatch, flagship_parsed):
+    true_membership = checks_mod.s_membership
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return true_membership(*args)
+
+    monkeypatch.setattr(checks_mod, "s_membership", counting)
+    verdict = _flagship_aprime(flagship_parsed)
+    assert verdict.status == HOLDS
+    assert verdict.details["brute_force_minimality"] is True
+    # a' = sqrt(a) lies in every radical candidate over a: only the a'
+    # clause itself tests s-membership
+    assert len(calls) == 1
+
+
+def test_aprime_minimality_compares_modulo_ann_m():
+    parsed = parse_instance(
+        "ring R = FP(7)[x1, x2, x3, x4] lex;\n"
+        "ideal J = x2;\n"
+        "ideal a = x4;\n"
+        "ideal I = x3^2*x4;\n"
+        "module M = quotient J;\n"
+        "regseq s = x3^2*x4;\n"
+        "check APRIME_T7(a = a, I = I, M = M, seq = s);\n"
+    )
+    [verdict] = run_suite(parsed)
+    # a' = (x2, x4) holds J's generator; cand = (x4) meets it only modulo J
+    assert verdict.details["aprime"] == "x2, x4"
+    assert verdict.details["brute_force_minimality"] is True
+    assert verdict.status == HOLDS
+
+
+def test_t1_skips_instances_with_an_invalid_witness():
+    parsed = parse_instance(
+        "ring R = FP(3)[x1, x2] lex;\n"
+        "ideal a = x1, x2;\n"
+        "ideal I = x1*x2^2, x1*x2;\n"
+        "module M = quotient 0;\n"
+        "regseq s = x1*x2^2, x1*x2;\n"
+        "check L07(a = a, I = I, M = M, seq = s);\n"
+        "check T1_GLOBAL();\n"
+    )
+    l07, t1 = run_suite(parsed)
+    assert l07.status == INAPPLICABLE
+    assert "not an M-regular sequence" in l07.details["hypothesis"]
+    assert t1.status == HOLDS
+    assert t1.details["ideals_examined"] == 0

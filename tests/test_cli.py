@@ -78,8 +78,8 @@ def test_usage_error_exit_two(capsys):
     assert main(["frobnicate"]) == 2
 
 
-def test_degree_cap_exit_three(capsys):
-    code = main(["run", str(CORPUS / "flagship.link"), "--degree-cap", "3"])
+def test_degree_cap_exit_three(capsys, degree_four_file):
+    code = main(["run", str(degree_four_file), "--degree-cap", "3"])
     assert code == 3
     from liaison.errors import ResourceLimitError
     from liaison.fields import QQ

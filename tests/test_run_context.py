@@ -51,10 +51,10 @@ def _without_millis(text):
     return report
 
 
-def test_cli_runs_leave_no_context(capsys):
+def test_cli_runs_leave_no_context(capsys, degree_four_file):
     reports = []
     for cap, code in ((None, 0), ("3", 3), (None, 0)):
-        argv = ["run", str(FLAGSHIP), "--format", "json"]
+        argv = ["run", str(degree_four_file), "--format", "json"]
         if cap is not None:
             argv += ["--degree-cap", cap]
         assert main(argv) == code
