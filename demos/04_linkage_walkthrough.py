@@ -12,13 +12,13 @@ from liaison.linkage import (
     RegularSequenceWitness,
     aprime_construct,
     candidate_link,
-    cd_bounds,
+    cd_oracle,
     free_module,
     is_geometrically_linked,
     is_linked,
     s_membership,
 )
-from liaison.resolutions import grade_via_ext
+from liaison.resolutions import grade_via_ext, pd_via_resolution
 
 ring = PolyRing(QQ, ["x1", "x2", "x3", "x4"])
 x1, x2, x3, x4 = ring.gens()
@@ -40,8 +40,8 @@ print("geometrically linked:", is_geometrically_linked(a, b, I, M, witness))
 print()
 print("# invariants on each side")
 for name, ideal in (("a", a), ("b", b)):
-    record = cd_bounds(ideal, M)
-    print(f"{name}: grade {record.grade}, cd {record.cd_exact}, pd {record.pd}")
+    grade, cd, pd = grade_via_ext(ideal, M), cd_oracle(ideal, M), pd_via_resolution(ideal)
+    print(f"{name}: grade {grade}, cd {cd}, pd {pd}")
 print("grade(a + b) =", grade_via_ext(ideal_sum(a, b), M), "= t + 1 with t = 2")
 
 print()

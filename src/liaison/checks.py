@@ -21,7 +21,6 @@ from .linkage import (
     aprime_construct,
     candidate_link,
     cd_oracle,
-    cd_principal_cyclic,
     free_module,
     is_geometrically_linked,
     is_linked,
@@ -30,7 +29,6 @@ from .linkage import (
 )
 from .monomials import (
     associated_primes_monomial,
-    cd_monomial,
     intersect_primes,
     is_monomial_ideal,
     monomial_exponents,
@@ -203,11 +201,16 @@ def check_ass_containment(inst):
 # -- Mayer-Vietoris bound and the vanishing pattern ------------------------------
 
 
+def _squarefree_monomial(I):
+    """Is I a squarefree monomial ideal (the zero ideal included)?"""
+    if not is_monomial_ideal(I):
+        return False
+    return all(all(e <= 1 for e in m) for m in monomial_exponents(I))
+
+
 def _pattern_applies(inst):
     """The relative-CM setting of the vanishing pattern: M = R, a squarefree."""
-    if not inst.module.is_free() or not is_monomial_ideal(inst.a):
-        return False
-    return all(all(e <= 1 for e in m) for m in monomial_exponents(inst.a))
+    return inst.module.is_free() and _squarefree_monomial(inst.a)
 
 
 def _vanishing_pattern(inst, grade_ab, details):
@@ -221,14 +224,10 @@ def _vanishing_pattern(inst, grade_ab, details):
 
 def _zero_link_cd(inst, b, details):
     """For I = 0 and principal a: cd(a, M) = cd(a, M/bM); None otherwise."""
-    if not inst.I.is_zero():
+    if not inst.I.is_zero() or len(inst.a.groebner()) != 1:
         return None
-    gb_a = inst.a.groebner()
-    if len(gb_a) != 1:
-        return None
-    f = gb_a[0]
-    lhs = cd_principal_cyclic(f, inst.module)
-    rhs = cd_principal_cyclic(f, CyclicModule(inst.ring, inst.module.plus_ann(b)))
+    lhs = cd_oracle(inst.a, inst.module)
+    rhs = cd_oracle(inst.a, CyclicModule(inst.ring, inst.module.plus_ann(b)))
     details["cd_a_on_M"] = lhs
     details["cd_a_on_M_mod_bM"] = rhs
     return lhs == rhs
@@ -454,13 +453,14 @@ def check_aprime(inst, alternate=None):
     invalid), brute-force minimality in small rings, and the radical
     identity on linked radical instances.
 
-    Minimality, in rings of at most 4 variables: every squarefree monomial
-    ideal cand containing a, with cand + J neither I + J nor the unit ideal,
-    that the double colon fixes must contain a' modulo J = Ann M (a' holds
-    J).  Only an s-member with a' outside cand + J breaks this, so a' within
-    cand + J is tested first and the double colon runs only on candidates
-    that fail it: the same verdict, and none at all on linked instances over
-    M = R, where a' = sqrt(a) (C4)."""
+    Minimality, in rings of at most 4 variables and for squarefree monomial
+    J = Ann M (M = R included; recorded as skipped otherwise): every
+    squarefree monomial ideal cand containing a, with cand + J neither I + J
+    nor the unit ideal, that the double colon fixes must contain a' modulo J
+    (a' holds J).  Only an s-member with a' outside cand + J breaks this, so
+    a' within cand + J is tested first and the double colon runs only on
+    candidates that fail it: the same verdict, and none at all on linked
+    instances over M = R, where a' = sqrt(a) (C4)."""
     M = inst.module
     ring = inst.ring
     IJ = M.plus_ann(inst.I)
@@ -501,18 +501,24 @@ def check_aprime(inst, alternate=None):
         details["alternate_I_same_aprime"] = same
 
     if ring.nvars <= 4:
-        minimal_ok = True
-        for cand in _radical_monomial_ideals_containing(inst.a):
-            candJ = M.plus_ann(cand)
-            # a unit candJ contains a'; candJ = I + J does not (a' is strictly
-            # larger), and s_membership rejects it
-            if ideal_contains(candJ, ap) or ideal_equal(IJ, candJ):
-                continue
-            if s_membership(cand, inst.I, M, inst.witness):
-                minimal_ok = False
-                break
+        # the clause ranges over radical ideals cand + Ann M, which every
+        # squarefree cand gives when Ann M is squarefree monomial; otherwise
+        # the range is undefined.  Like _describe_inputs, the witness memo key
+        # and cd_principal_cyclic, this gate reads Ann M outside CyclicModule.
+        minimal_ok = "skipped (Ann M is not a squarefree monomial ideal)"
+        if _squarefree_monomial(M.defining_ideal):
+            minimal_ok = True
+            for cand in _radical_monomial_ideals_containing(inst.a):
+                candJ = M.plus_ann(cand)
+                # a unit candJ contains a'; candJ = I + J does not (a' is
+                # strictly larger), and s_membership rejects it
+                if ideal_contains(candJ, ap) or ideal_equal(IJ, candJ):
+                    continue
+                if s_membership(cand, inst.I, M, inst.witness):
+                    minimal_ok = False
+                    break
+            ok = ok and minimal_ok
         details["brute_force_minimality"] = minimal_ok
-        ok = ok and minimal_ok
 
     aJ = M.plus_ann(inst.a)
     if b is not None and is_monomial_ideal(aJ) and ideal_equal(aJ, monomial_radical(aJ)):
@@ -618,7 +624,7 @@ def check_t1(ring, corpus):
             if grade_via_ext(candidate, inst.module) != t:
                 continue
             examined += 1
-            if cd_monomial(candidate) >= n:
+            if cd_oracle(candidate, inst.module) >= n:
                 ok = False
                 details["counterexample"] = _gens_str(candidate)
     details["ideals_examined"] = examined
@@ -650,9 +656,7 @@ def check_c1(ring, corpus):
             continue
         if not is_linked(m, b, I, M, w):
             continue
-        if not is_monomial_ideal(b):
-            continue
-        cd_b = cd_monomial(b)
+        cd_b = cd_oracle(b, M)
         if cd_b == n:
             details["b"] = _gens_str(b)
             details["I"] = _gens_str(I)

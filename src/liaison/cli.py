@@ -21,12 +21,8 @@ from .instancefile import (
     parse_poly_list,
     parse_ring_spec,
 )
-from .linkage import (
-    CyclicModule,
-    RegularSequenceWitness,
-    aprime_construct,
-    cd_bounds,
-)
+from .linkage import CyclicModule, RegularSequenceWitness, aprime_construct, cd_oracle
+from .monomials import is_monomial_ideal
 from .parse import TokenStream, tokenize
 from .resolutions import grade_via_ext, pd_via_resolution
 from .rings import poly_str
@@ -172,11 +168,18 @@ def _cmd_compute(args):
     elif op == "grade":
         print(grade_via_ext(ideal, module))
     elif op == "cd":
-        record = cd_bounds(ideal, module)
-        if record.cd_exact is not None:
-            print(record.cd_exact)
-        else:
-            print(f"[{record.cd_lower}, {record.cd_upper}]")
+        if ideal.is_unit():
+            raise ValueError("cd of the unit ideal is undefined")
+        if module.kills(ideal):
+            raise ValueError("aM = M: cd is undefined")
+        grade = grade_via_ext(ideal, module)
+        lo = hi = cd_oracle(ideal, module)
+        if lo is None:  # no exact oracle: [grade, min(#generators, dim R)]
+            gens = ideal.groebner() if is_monomial_ideal(ideal) else set(ideal.gens) - {ring.zero}
+            lo, hi = grade, min(len(gens), ring.dim)
+        if grade > lo:
+            raise ValueError("grade exceeds the cd lower bound")
+        print(lo if lo == hi else f"[{lo}, {hi}]")
     elif op == "pd":
         print(pd_via_resolution(ideal))
     elif op == "aprime":

@@ -6,6 +6,9 @@ predicate here reduces to exact ideal arithmetic through it: a and b are
 linked by I over M iff M.colon(I, a) = M.plus_ann(b) and M.colon(I, b) =
 M.plus_ann(a), geometrically linked iff additionally M.plus_ann(a) cap
 M.plus_ann(b) = M.plus_ann(I).
+
+cd_oracle is the one place that picks a cd route for (a, M); the checks and
+the CLI ask it and nothing else.
 """
 
 from .errors import RingMismatchError, WitnessError
@@ -23,11 +26,9 @@ from .monomials import (
     cd_monomial,
     intersect_primes,
     is_monomial_ideal,
-    monomial_exponents,
     primes_containing,
 )
 from .record import Record
-from .resolutions import grade_via_ext, pd_via_resolution
 
 
 class CyclicModule(Record):
@@ -210,58 +211,17 @@ def cd_principal_cyclic(f, M):
     return 1
 
 
-class InvariantRecord(Record):
-    """Grade, cd (exact or interval) and optional pd for one (a, M)."""
-
-    def __init__(self, grade, cd_lower, cd_upper, pd):
-        self._set(locals())
-        if grade > cd_lower:
-            raise ValueError("grade exceeds the cd lower bound")
-
-    @property
-    def cd_exact(self):
-        return self.cd_lower if self.cd_lower == self.cd_upper else None
-
-
-def _minimal_generator_count(a):
-    if is_monomial_ideal(a):
-        return len(monomial_exponents(a))
-    return len([g for g in dict.fromkeys(a.gens) if not g.is_zero()])
-
-
 def cd_oracle(a, M):
     """Exact cd(a, M) when one of the two oracles applies, else None:
-    monomial a over M = R, or principal a over any cyclic M."""
+    monomial a over M = R, or principal a over any cyclic M.
+
+    The only cd entry point: the checks and the CLI ask it and nothing else."""
     if M.is_free() and is_monomial_ideal(a) and not a.is_zero():
         return cd_monomial(a)
     gb = a.groebner()
     if len(gb) == 1:
         return cd_principal_cyclic(gb[0], M)
     return None
-
-
-def cd_bounds(a, M):
-    """Grade plus the best available cd information for (a, M).
-
-    cd is exact via cd_monomial (monomial a, M = R) or the principal rule;
-    otherwise the interval [grade, min(#minimal generators, dim R)].
-    """
-    ring = M.ring
-    if a.is_unit():
-        raise ValueError("cd of the unit ideal is undefined")
-    if M.kills(a):
-        raise ValueError("aM = M: cd is undefined")
-    grade = grade_via_ext(a, M)
-    exact = cd_oracle(a, M)
-    if exact is not None:
-        lo = hi = exact
-    else:
-        lo = grade
-        hi = min(_minimal_generator_count(a), ring.dim)
-    pd = None
-    if M.is_free() and all(g.is_homogeneous() for g in a.gens):
-        pd = pd_via_resolution(a)
-    return InvariantRecord(grade=grade, cd_lower=lo, cd_upper=hi, pd=pd)
 
 
 class LinkageInstance(Record):

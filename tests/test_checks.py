@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import random_polynomial, seeded
+from conftest import CORPUS_DIR, random_polynomial, seeded
 import liaison.checks as checks_mod
 import liaison.linkage as linkage_mod
 from liaison.checks import (
@@ -305,3 +305,63 @@ def test_t1_skips_instances_with_an_invalid_witness():
     assert "not an M-regular sequence" in l07.details["hypothesis"]
     assert t1.status == HOLDS
     assert t1.details["ideals_examined"] == 0
+
+
+def test_aprime_minimality_skipped_over_non_squarefree_ann_m():
+    parsed = parse_instance(
+        "ring R = QQ[x1, x2, x3] grevlex;\n"
+        "ideal J = x2^2;\n"
+        "ideal a = x1;\n"
+        "ideal I = x1^2;\n"
+        "module M = quotient J;\n"
+        "regseq s = x1^2;\n"
+        "check APRIME_T7(a = a, I = I, M = M, seq = s);\n"
+    )
+    [verdict] = run_suite(parsed)
+    # a' = (x1, x2); cand + (x2^2) is not radical, so the clause's range of
+    # radical ideals is undefined and the other clauses decide
+    assert verdict.details["aprime"] == "x1, x2"
+    assert verdict.details["brute_force_minimality"] == (
+        "skipped (Ann M is not a squarefree monomial ideal)"
+    )
+    assert verdict.status == HOLDS
+
+
+CD_TEETH = {
+    CheckId.T1_GLOBAL: {"flagship.link", "principal_pair.link"},
+    CheckId.C1_WITNESS: {
+        "flagship.link",
+        "fp_selflink.link",
+        "principal_pair.link",
+        "selflink.link",
+    },
+    CheckId.T5_CD: {"fp_selflink.link", "selflink.link"},
+    CheckId.T8_MV: {"principal_pair.link"},
+}
+
+
+def _corpus_verdicts():
+    out = {}
+    for path in sorted(CORPUS_DIR.glob("*.link")):
+        for v in run_suite(parse_instance(path.read_text())):
+            out.setdefault(v.check, {}).setdefault(path.name, []).append(v.status)
+    return out
+
+
+def test_every_cd_in_the_checks_comes_from_cd_oracle(monkeypatch):
+    true_oracle = checks_mod.cd_oracle
+    before = _corpus_verdicts()
+
+    def plus_one(a, M):
+        cd = true_oracle(a, M)
+        return None if cd is None else cd + 1
+
+    monkeypatch.setattr(checks_mod, "cd_oracle", plus_one)
+    after = _corpus_verdicts()
+    for check, files in CD_TEETH.items():
+        flipped = {
+            name
+            for name, statuses in after[check].items()
+            if any(s == FAILS and b != FAILS for b, s in zip(before[check][name], statuses))
+        }
+        assert flipped == files, check

@@ -161,6 +161,51 @@ def test_compute_grade_cd_pd(capsys):
     assert capsys.readouterr().out.strip() == "3"
 
 
+@pytest.mark.parametrize(
+    "ring, ideal, module, expected",
+    [
+        # no exact oracle: [grade, min(#generators, dim R)]
+        pytest.param("QQ[x,y,z]", "x*y, x*z", "y - z", "[1, 2]", id="interval"),
+        pytest.param("QQ[x,y,z]", "x*y, y*z, x*y*z", "x^2", "[1, 2]", id="interval-over-x^2"),
+        # grade 2 = dim R closes the interval
+        pytest.param("QQ[x,y]", "x^2 - y, y^2 - 1, x + y", None, "2", id="interval-closes-at-dim"),
+        pytest.param("QQ[x,y]", "0", None, "0", id="zero-ideal"),
+    ],
+)
+def test_compute_cd_exact_or_interval(capsys, ring, ideal, module, expected):
+    argv = ["compute", "cd", "--ring", ring, "--ideal", ideal]
+    if module is not None:
+        argv += ["--module", module]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.strip() == expected
+
+
+@pytest.mark.parametrize(
+    "ideal, module, message",
+    [
+        pytest.param("1", None, "cd of the unit ideal is undefined", id="unit-ideal"),
+        pytest.param("x", "x - 1", "aM = M: cd is undefined", id="aM-equals-M"),
+    ],
+)
+def test_compute_cd_undefined_exit_two(capsys, ideal, module, message):
+    argv = ["compute", "cd", "--ring", "QQ[x,y]", "--ideal", ideal]
+    if module is not None:
+        argv += ["--module", module]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.strip() == f"error: {message}"
+
+
+def test_compute_cd_rejects_an_oracle_below_grade(capsys, monkeypatch):
+    import liaison.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "cd_oracle", lambda a, M: 1)
+    flagship = "x1*x3, x1*x4, x2*x3, x2*x4"
+    assert main(["compute", "cd", "--ring", "QQ[x1,x2,x3,x4]", "--ideal", flagship]) == 2
+    assert "grade exceeds the cd lower bound" in capsys.readouterr().err
+
+
 def test_compute_intersect_and_module(capsys):
     main(
         [

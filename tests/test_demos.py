@@ -31,3 +31,9 @@ def test_demo_03_two_pd_routes_agree():
             values[label] = value.strip()
     assert len(values) == 2
     assert values["pd via restrictions"] == values["pd via resolution"]
+
+
+def test_demo_04_prints_grade_cd_and_pd():
+    lines = _run(ROOT / "demos" / "04_linkage_walkthrough.py").stdout.splitlines()
+    assert "a: grade 2, cd 3, pd 3" in lines
+    assert "b: grade 2, cd 3, pd 3" in lines

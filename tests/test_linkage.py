@@ -9,7 +9,7 @@ from liaison.linkage import (
     RegularSequenceWitness,
     aprime_construct,
     candidate_link,
-    cd_bounds,
+    cd_oracle,
     cd_principal_cyclic,
     free_module,
     is_geometrically_linked,
@@ -198,28 +198,16 @@ def test_cd_principal_examples(r2):
         cd_principal_cyclic(r2.zero, free_module(r2))
 
 
-def test_cd_bounds_examples(r2, flag):
+def test_cd_oracle_examples(r2, flag):
     a, I, w, M4 = flag
-    record = cd_bounds(a, M4)
-    assert record.grade == 2
-    assert record.cd_exact == 3
-    assert record.pd == 3
+    assert grade_via_ext(a, M4) == 2
+    assert cd_oracle(a, M4) == 3
 
     x, y = r2.gens()
     M2 = free_module(r2)
-    record = cd_bounds(Ideal(r2, (x**2 - y,)), M2)
-    assert record.grade == 1
-    assert record.cd_exact == 1
-    with pytest.raises(ValueError):
-        cd_bounds(Ideal(r2, (r2.one,)), M2)
-
-
-def test_cd_bounds_interval_respects_dim(r2):
-    # no oracle: non-monomial, non-principal over R
-    x, y = r2.gens()
-    record = cd_bounds(Ideal(r2, (x**2 - y, y**2 - r2.one, x + y)), free_module(r2))
-    assert record.cd_lower == record.grade
-    assert record.cd_upper <= r2.dim
+    principal = Ideal(r2, (x**2 - y,))
+    assert grade_via_ext(principal, M2) == 1
+    assert cd_oracle(principal, M2) == 1
 
 
 # -- corpus-wide invariants -------------------------------------------------------

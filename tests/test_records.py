@@ -11,7 +11,6 @@ from liaison.groebner import Ideal
 from liaison.instancefile import CheckDirective, InstanceFile
 from liaison.linkage import (
     CyclicModule,
-    InvariantRecord,
     LinkageInstance,
     RegularSequenceWitness,
 )
@@ -33,7 +32,6 @@ RECORDS = {
     InstanceFile: ((R, "R", {"a": J}, {"M": M}, {"M": "0"}, {"s": (X,)}, []), False),
     CyclicModule: ((R, J), True),
     RegularSequenceWitness: (((X**2, Y),), True),
-    InvariantRecord: ((1, 1, 2, None), True),
     LinkageInstance: ((R, M, J, J, W, None, "line 1"), True),
     AssociatedPrimes: ((frozenset({frozenset({0})}), frozenset({frozenset({0})})), True),
     FreeResolution: ((R, (1, 1), (((X,),),)), True),
@@ -44,7 +42,6 @@ FIELDS = {
     InstanceFile: ("ring", "ring_name", "ideals", "modules", "module_defs", "regseqs", "directives"),
     CyclicModule: ("ring", "defining_ideal"),
     RegularSequenceWitness: ("elements",),
-    InvariantRecord: ("grade", "cd_lower", "cd_upper", "pd"),
     LinkageInstance: ("ring", "module", "a", "I", "witness", "b", "name"),
     AssociatedPrimes: ("all_primes", "minimal"),
     FreeResolution: ("ring", "ranks", "diffs"),
@@ -94,7 +91,7 @@ class _Pair(Record):
 def test_equality_is_by_class_and_value():
     assert RegularSequenceWitness((X, Y)) == RegularSequenceWitness((X, Y))
     assert RegularSequenceWitness((X, Y)) != RegularSequenceWitness((Y, X))
-    assert InvariantRecord(1, 1, 2, None) != InvariantRecord(1, 1, 2, 3)
+    assert LinkageInstance(R, M, J, J, W, None, "a") != LinkageInstance(R, M, J, J, W, None, "b")
     assert AssociatedPrimes(frozenset(), frozenset()) != _Pair(frozenset(), frozenset())
     assert RegularSequenceWitness((X,)) != (X,)
     assert CyclicModule(R, J) != CyclicModule(R, Ideal(R, (X * Y,)))  # ideals compare by identity
@@ -105,8 +102,6 @@ def test_defaults_and_derived_fields():
     assert inst.b is None and inst.name == ""
     assert W.length == 2
     assert FreeResolution(R, (1, 1), (((X,),),)).length == 1
-    assert InvariantRecord(1, 2, 2, None).cd_exact == 2
-    assert InvariantRecord(1, 1, 2, None).cd_exact is None
     assert AssociatedPrimes(frozenset({1}), frozenset({1})).is_unmixed()
     assert Verdict(CheckId.L07, "holds", {}, None, 0.0).holds()
 
@@ -117,8 +112,6 @@ def test_construction_validates():
         CyclicModule(other, J)
     with pytest.raises(ValueError):
         CyclicModule(R, Ideal(R, (R.one,)))
-    with pytest.raises(ValueError):
-        InvariantRecord(grade=3, cd_lower=2, cd_upper=2, pd=None)
 
 
 def test_cyclic_module_repr():
