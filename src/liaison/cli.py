@@ -10,7 +10,7 @@ import json
 import sys
 
 from . import __version__, limits
-from .checks import FAILS, run_suite
+from .checks import FAILS, gens_str, run_suite
 from .errors import LiaisonError, ParseError, ResourceLimitError
 from .groebner import Ideal
 from .ideal_ops import intersect_ideals
@@ -25,7 +25,6 @@ from .linkage import CyclicModule, RegularSequenceWitness, aprime_construct, cd_
 from .monomials import is_monomial_ideal
 from .parse import TokenStream, tokenize
 from .resolutions import grade_via_ext, pd_via_resolution
-from .rings import poly_str
 
 
 def report_schema():
@@ -45,26 +44,13 @@ def build_report(parsed, verdicts):
             {
                 "check": v.check.value,
                 "status": v.status,
-                "details": _plain(v.details),
-                "witness": _plain(v.witness) if v.witness is not None else None,
+                "details": v.details,
+                "witness": v.witness,
                 "millis": round(v.millis, 3),
             }
             for v in verdicts
         ],
     }
-
-
-def _plain(value):
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = list(value)
-        if isinstance(value, (set, frozenset)):
-            items = sorted(items, key=repr)
-        return [_plain(v) for v in items]
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return value
-    return str(value)
 
 
 def render_markdown(report):
@@ -150,21 +136,17 @@ def _cmd_compute(args):
     module_gens = () if args.module is None else _parse_arg(args.module, parse_poly_list, ring)
     module = CyclicModule(ring, Ideal(ring, tuple(module_gens)))
 
-    def show_ideal(I):
-        gb = I.groebner()
-        return ", ".join(poly_str(g) for g in gb) if gb else "0"
-
     op = args.operation
     if op == "gb":
-        print(show_ideal(ideal))
+        print(gens_str(ideal))
     elif op == "colon":
         if by is None:
             raise ValueError("colon needs --by")
-        print(show_ideal(module.colon(ideal, by)))
+        print(gens_str(module.colon(ideal, by)))
     elif op == "intersect":
         if by is None:
             raise ValueError("intersect needs --by")
-        print(show_ideal(intersect_ideals(ideal, by)))
+        print(gens_str(intersect_ideals(ideal, by)))
     elif op == "grade":
         print(grade_via_ext(ideal, module))
     elif op == "cd":
@@ -186,7 +168,7 @@ def _cmd_compute(args):
         if by is None:
             raise ValueError("aprime needs --by (the linking regular sequence)")
         witness = RegularSequenceWitness(tuple(by.gens))
-        print(show_ideal(aprime_construct(ideal, by, module, witness)))
+        print(gens_str(aprime_construct(ideal, by, module, witness)))
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown operation {op}")
     return 0

@@ -7,8 +7,9 @@ import pytest
 
 from conftest import load_perfbench
 import liaison.checks as checks_mod
-from liaison.checks import CheckId
+from liaison.checks import CheckId, run_suite
 from liaison.cli import main, report_schema
+from liaison.instancefile import parse_instance
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -451,3 +452,34 @@ def test_generated_reports_match_pinned_digests(workload, tmp_path, monkeypatch,
         code = main(["run", str(path), "--format", "json"])
         digest = run.sha(run.normalized(json.loads(capsys.readouterr().out)))
         assert (code, digest) == (pinned[path.name]["exit"], pinned[path.name]["report"]), path.name
+
+
+def _json_native(value):
+    return json.loads(json.dumps(value)) == value
+
+
+@pytest.mark.parametrize("workload", ["corpus", "gen-wide", "nonmonomial"])
+def test_details_and_witnesses_are_json_native(workload, tmp_path, monkeypatch):
+    # reports write details and witnesses as the checks record them: a tuple
+    # would print differently in markdown, and a set would not serialize
+    if workload == "corpus":
+        files = sorted(CORPUS.glob("*.link"))
+    else:
+        run = load_perfbench("run", monkeypatch)
+        files = run.workloads.build(workload, run.REFERENCE_SEED, ROOT, tmp_path, run.child_env()).files
+    for path in files:
+        for v in run_suite(parse_instance(path.read_text())):
+            assert _json_native(v.details), (path.name, v.check, v.details)
+            assert v.witness is None or _json_native(v.witness), (path.name, v.check, v.witness)
+
+
+def test_failing_witnesses_are_json_native(monkeypatch):
+    # the workloads hold, so their witnesses are None; radicals that never
+    # agree turn L07, T5_CD and C4 to fails on the flagship pair
+    monkeypatch.setattr(checks_mod, "radicals_equal", lambda I, J: False)
+    verdicts = run_suite(parse_instance((CORPUS / "flagship.link").read_text()))
+    failed = [v for v in verdicts if v.status == "fails"]
+    assert {v.check for v in failed} >= {CheckId.L07, CheckId.T5_CD, CheckId.C4}
+    for v in failed:
+        assert v.witness["instance"]["sequence"]
+        assert _json_native(v.details) and _json_native(v.witness), v.check

@@ -4,7 +4,10 @@ Each check states a proven result under its gates, so on a valid file a
 `fails` verdict is a defect of the harness or of an oracle, never of the
 paper.  The generator writes small files over QQ and GF(p), in both orders,
 with M = R or M = R/J (J non-radical too), and witnesses that are often
-invalid; every file runs all 13 checks through `liaison run`.
+invalid; every file runs all 13 checks through `liaison run`.  Files from
+seeds of their own also name a partner b and an APRIME_T7 alternate.  Each
+seed's reports are pinned by digest, since no benchmark workload reaches
+these inputs.
 
 A `fails` whose reason is "resource limit exceeded" (exit 3) is a cap
 tripping, not a wrong verdict: it is counted apart from the wrong verdicts.
@@ -16,6 +19,7 @@ import time
 
 import pytest
 
+from conftest import load_perfbench
 from liaison.checks import CheckId, GLOBAL_CHECKS
 from liaison.cli import main
 
@@ -26,6 +30,20 @@ CPU_BOUND_S = 2.0
 # gates that later turn a verdict inapplicable
 MIN_HOLDS_PER_SEED = 180
 MIN_HOLDS_OVER_QUOTIENTS = 30
+# Files whose checks name a partner b and an APRIME_T7 alternate, from seeds
+# of their own so that the files above do not change.
+PARTNER_SEEDS = (1, 2)
+MIN_HOLDS_WITH_PARTNERS = 160
+# sha256 of each seed's exit codes and millis-free reports (see
+# outcomes_digest): the reports must stay byte-identical on M = R/J, GF(p),
+# lex and invalid witnesses, which no benchmark workload reaches.
+REPORT_DIGESTS = {
+    3: "02a22f4a13f6bbacb2c145ef3a5e187cb736ab25a940de47ed6e5303f783e40e",
+    5: "4669df54c62d1c26d11d0e4370dc7743f7db24b288907cf9679a440e7fd22534",
+    11: "1f24625ee9ecf9149ca83fe9b11928083c5e6cbe60b6df2f936b066f805fd7ec",
+    1: "40cecaa46930693ed95d9e4e842ceb45c559b7f89e74530947816cf45afe06b6",
+    2: "d1cb70a64151984decd6f0a6bfbdb2d71dbc74023ed886689d5bde8d586a98bc",
+}
 
 FIELDS = (("QQ", 0), ("FP(2)", 2), ("FP(3)", 3), ("FP(7)", 7))
 PAIR_CHECKS = [c.value for c in CheckId if c not in GLOBAL_CHECKS]
@@ -88,13 +106,19 @@ def _linking_element(rng, n, p, a_gens):
     return _polynomial(rng, n, p)
 
 
-def random_instance(rng):
+def _linking_text(rng, n, p, a_gens):
+    gens = [_linking_element(rng, n, p, a_gens) for _ in range(rng.randint(1, min(3, n)))]
+    return ", ".join(dict.fromkeys(_render(g) for g in gens))
+
+
+def random_instance(rng, partners=False):
+    """One file; with partners, every pair check also names a partner b (a
+    itself or a random ideal) and APRIME_T7 an alternate linking ideal."""
     n = rng.randint(2, 4)
     field, p = rng.choice(FIELDS)
     order = rng.choice(("lex", "grevlex"))
     a_gens = [_polynomial(rng, n, p) for _ in range(rng.randint(1, 3))]
-    I_gens = [_linking_element(rng, n, p, a_gens) for _ in range(rng.randint(1, min(3, n)))]
-    I_text = ", ".join(dict.fromkeys(_render(g) for g in I_gens))
+    I_text = _linking_text(rng, n, p, a_gens)
     variables = ", ".join(f"x{i + 1}" for i in range(n))
     lines = [
         f"ring R = {field}[{variables}] {order};",
@@ -111,21 +135,34 @@ def random_instance(rng):
     else:
         lines.append("module M = quotient 0;")
     lines.append(f"regseq s = {I_text};")
-    lines += [f"check {c}(a = a, I = I, M = M, seq = s);" for c in PAIR_CHECKS]
+    args = alt = ""
+    if partners:
+        args = "b = a, "
+        if rng.random() < 0.5:
+            b_gens = [_polynomial(rng, n, p) for _ in range(rng.randint(1, 3))]
+            lines.append(f"ideal b = {', '.join(_render(g) for g in b_gens)};")
+            args = "b = b, "
+        K_text = _linking_text(rng, n, p, a_gens)
+        lines += [f"ideal K = {K_text};", f"regseq t = {K_text};"]
+        alt = ", alt_I = K, alt_seq = t"
+    for c in PAIR_CHECKS:
+        tail = alt if c == CheckId.APRIME_T7.value else ""
+        lines.append(f"check {c}(a = a, {args}I = I, M = M, seq = s{tail});")
     lines += [f"check {c}();" for c in GLOBAL]
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_random_valid_files_never_fail(seed, tmp_path):
-    rng = random.Random(seed)
-    wrong, resource, slow = [], [], []
+def run_files(texts, tmp_path):
+    """Run each file through `liaison run`; return the wrong verdicts, the
+    files that tripped a cap, the slow files, the `holds` count, the `holds`
+    count over M = R/J, and each file's exit code with its millis-free
+    report (None when a cap tripped before any check)."""
+    wrong, resource, slow, outcomes = [], [], [], []
     holds = holds_over_quotients = 0
-    for k in range(FILES_PER_SEED):
-        text = random_instance(rng)
-        path = tmp_path / f"fuzz-{seed}-{k}.link"
+    for k, text in enumerate(texts):
+        path = tmp_path / f"fuzz-{k}.link"
         path.write_text(text)
-        out = tmp_path / f"fuzz-{seed}-{k}.json"
+        out = tmp_path / f"fuzz-{k}.json"
         start = time.process_time()
         code = main(["run", str(path), "--format", "json", "--out", str(out)])
         cpu = time.process_time() - start
@@ -133,9 +170,12 @@ def test_random_valid_files_never_fail(seed, tmp_path):
             slow.append((cpu, text))
         if code == 3 and not out.exists():  # a cap tripped before any check
             resource.append(text)
+            outcomes.append((code, None))
             continue
         assert code in (0, 1, 3), f"exit {code} on\n{text}"
-        for v in json.loads(out.read_text())["verdicts"]:
+        report = json.loads(out.read_text())
+        outcomes.append((code, report))
+        for v in report["verdicts"]:
             if v["details"].get("reason") == "resource limit exceeded":
                 resource.append(text)  # a finding for the work budget
             elif v["status"] == "fails":
@@ -143,7 +183,36 @@ def test_random_valid_files_never_fail(seed, tmp_path):
             elif v["status"] == "holds":
                 holds += 1
                 holds_over_quotients += "quotient J" in text
+    return wrong, resource, slow, holds, holds_over_quotients, outcomes
+
+
+def outcomes_digest(outcomes, run):
+    """One sha256 over every file's exit code and millis-free report."""
+    return run.sha("\n".join(
+        f"{code} {run.normalized(report) if report else ''}" for code, report in outcomes
+    ))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_valid_files_never_fail(seed, tmp_path, monkeypatch):
+    rng = random.Random(seed)
+    texts = [random_instance(rng) for _ in range(FILES_PER_SEED)]
+    wrong, resource, slow, holds, holds_over_quotients, outcomes = run_files(texts, tmp_path)
     assert not wrong, wrong[0]
     assert not slow, max(slow)
     assert holds >= MIN_HOLDS_PER_SEED, f"{len(resource)} files tripped a resource cap"
     assert holds_over_quotients >= MIN_HOLDS_OVER_QUOTIENTS
+    run = load_perfbench("run", monkeypatch)
+    assert outcomes_digest(outcomes, run) == REPORT_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("seed", PARTNER_SEEDS)
+def test_random_files_with_partners_never_fail(seed, tmp_path, monkeypatch):
+    rng = random.Random(seed)
+    texts = [random_instance(rng, partners=True) for _ in range(FILES_PER_SEED)]
+    wrong, resource, slow, holds, _, outcomes = run_files(texts, tmp_path)
+    assert not wrong, wrong[0]
+    assert not slow, max(slow)
+    assert holds >= MIN_HOLDS_WITH_PARTNERS, f"{len(resource)} files tripped a resource cap"
+    run = load_perfbench("run", monkeypatch)
+    assert outcomes_digest(outcomes, run) == REPORT_DIGESTS[seed]
