@@ -20,14 +20,14 @@ import random
 from .checks import CheckId
 from .fields import QQ
 from .groebner import Ideal
-from .instancefile import PROFILES, parse_instance
+from .instancefile import PROFILES, format_check, format_declaration, parse_instance
 from .linkage import RegularSequenceWitness, free_module, is_geometrically_linked
 from .monomials import (
     associated_primes_monomial,
     intersect_primes,
     monomial_radical,
 )
-from .rings import PolyRing, poly_str
+from .rings import PolyRing
 
 _PER_INSTANCE_CHECKS = {
     "self-links": (
@@ -109,13 +109,6 @@ def _monomial_ci(rng, ring, squarefree):
     return gens
 
 
-def _emit_ideal(lines, name, ideal_gens):
-    if not ideal_gens:
-        lines.append(f"ideal {name} = 0;")
-    else:
-        lines.append(f"ideal {name} = {', '.join(poly_str(g) for g in ideal_gens)};")
-
-
 def generate_instances(seed, profile, count, nvars):
     """Deterministic instance-file text for the given profile.
 
@@ -136,7 +129,7 @@ def generate_instances(seed, profile, count, nvars):
     M = free_module(ring)
     lines = [
         f"# generated: profile={profile} seed={seed} count={count} vars={nvars}",
-        f"ring R = QQ[{', '.join(ring.vars)}] grevlex;",
+        f"ring R = {ring!r};",
         "module M = quotient 0;",
     ]
     checks = []
@@ -146,14 +139,8 @@ def generate_instances(seed, profile, count, nvars):
             i, j = sorted(rng.sample(range(nvars), 2))
             square_first = rng.randrange(2) == 0
             xi, xj = ring.gen(i), ring.gen(j)
-            a_gens = (xi, xj)
-            i_gens = (xi * xi, xj) if square_first else (xi, xj * xj)
-            _emit_ideal(lines, f"a{idx}", a_gens)
-            _emit_ideal(lines, f"I{idx}", i_gens)
-            lines.append(
-                f"regseq s{idx} = {', '.join(poly_str(g) for g in i_gens)};"
-            )
-            args = f"a = a{idx}, b = a{idx}, I = I{idx}, M = M, seq = s{idx}"
+            ideals = {"a": (xi, xj), "I": (xi * xi, xj) if square_first else (xi, xj * xj)}
+            partner = "a"
         elif profile == "geometric-links":
             while True:
                 gens = _monomial_ci(rng, ring, squarefree=True)
@@ -172,24 +159,20 @@ def generate_instances(seed, profile, count, nvars):
                 w = RegularSequenceWitness(tuple(gens))
                 if is_geometrically_linked(a, b, I, M, w):
                     break
-            _emit_ideal(lines, f"a{idx}", a.groebner())
-            _emit_ideal(lines, f"b{idx}", b.groebner())
-            _emit_ideal(lines, f"I{idx}", I.gens)
-            lines.append(f"regseq s{idx} = {', '.join(poly_str(g) for g in I.gens)};")
-            args = (
-                f"a = a{idx}, b = b{idx}, I = I{idx}, M = M, seq = s{idx}"
-            )
+            ideals = {"a": a.groebner(), "b": b.groebner(), "I": I.gens}
+            partner = "b"
         else:  # monomial-ci
             gens = _monomial_ci(rng, ring, squarefree=False)
             I = Ideal(ring, tuple(gens))
             # a := sqrt(I), which sits strictly over I and is linked by it
-            a = monomial_radical(I)
-            _emit_ideal(lines, f"a{idx}", a.gens)
-            _emit_ideal(lines, f"I{idx}", I.gens)
-            lines.append(f"regseq s{idx} = {', '.join(poly_str(g) for g in I.gens)};")
-            args = f"a = a{idx}, I = I{idx}, M = M, seq = s{idx}"
-        for check in _PER_INSTANCE_CHECKS[profile]:
-            checks.append(f"check {check.value}({args});")
+            ideals = {"a": monomial_radical(I).gens, "I": I.gens}
+            partner = None
+        lines += [format_declaration("ideal", f"{n}{idx}", g) for n, g in ideals.items()]
+        lines.append(format_declaration("regseq", f"s{idx}", ideals["I"]))
+        args = {"a": f"a{idx}", "I": f"I{idx}", "M": "M", "seq": f"s{idx}"}
+        if partner:
+            args["b"] = f"{partner}{idx}"
+        checks += [format_check(check, args) for check in _PER_INSTANCE_CHECKS[profile]]
 
     lines.extend(checks)
     if nvars >= 4:

@@ -10,7 +10,11 @@ Grammar (semicolon-terminated statements, '#' comments, one ring per file):
 
 Check arguments: a, b, I (ideals), M (module), seq, alt_seq (regseqs),
 alt_I (ideal).  `seq` is omitted exactly when I is the zero ideal, and
-`alt_seq` exactly when alt_I is.
+`alt_seq` exactly when alt_I is.  The global checks (C11_GLOBAL, T1_GLOBAL,
+C1_WITNESS) take no arguments.
+
+`ideal Z = 0;` is the zero ideal, while `regseq s = 0;` is the one-element
+sequence of the zero polynomial, which no check accepts as a witness.
 """
 
 import hashlib
@@ -29,9 +33,19 @@ from .parse import TokenStream, parse_poly_tokens, tokenize
 from .record import Record
 from .rings import ORDERS, PolyRing, poly_str
 
-_IDEAL_ARGS = ("a", "b", "I", "alt_I")
-_SEQ_ARGS = ("seq", "alt_seq")
-_ARG_ORDER = ("a", "b", "I", "M", "seq", "alt_I", "alt_seq")
+# Each check argument and the kind of declaration it names, in the order
+# print_instance writes them.
+_CHECK_ARGS = {
+    "a": "ideal",
+    "b": "ideal",
+    "I": "ideal",
+    "M": "module",
+    "seq": "regseq",
+    "alt_I": "ideal",
+    "alt_seq": "regseq",
+}
+# Each declaration keyword and what its name is called in errors.
+_NAME_WHAT = {"ideal": "ideal name", "module": "module name", "regseq": "sequence name"}
 # The `liaison gen` profiles (see generate.py), kept with the file format so
 # that the CLI can list them without loading the generator.
 PROFILES = ("self-links", "geometric-links", "monomial-ci")
@@ -90,6 +104,14 @@ class InstanceFile(Record):
         return out
 
 
+def _comma_list(ts, parse_item, *args):
+    """parse_item(ts, *args) once, then again after each comma."""
+    items = [parse_item(ts, *args)]
+    while ts.try_sym(","):
+        items.append(parse_item(ts, *args))
+    return items
+
+
 def parse_ring_spec(ts, default_order=None):
     """`(QQ | FP(prime)) [ var {, var} ] (lex | grevlex)`; the order may be
     left out only when a default is given."""
@@ -111,9 +133,7 @@ def parse_ring_spec(ts, default_order=None):
             field_tok.col,
         )
     ts.expect_sym("[")
-    variables = [ts.expect_ident("variable").value]
-    while ts.try_sym(","):
-        variables.append(ts.expect_ident("variable").value)
+    variables = [tok.value for tok in _comma_list(ts, TokenStream.expect_ident, "variable")]
     close = ts.expect_sym("]")
     if len(set(variables)) != len(variables):
         raise ParseError("duplicate variable", close.line, close.col)
@@ -130,7 +150,6 @@ def parse_ring_spec(ts, default_order=None):
 def parse_poly_list(ts, ring):
     """Comma-separated polynomials; a lone literal 0 (before ';' or the end of
     input) denotes the empty list."""
-    polys = []
     first = ts.peek()
     if first.kind == "int" and first.value == 0:
         probe = ts.pos
@@ -138,10 +157,7 @@ def parse_poly_list(ts, ring):
         if ts.at_sym(";") or ts.peek().kind == "eof":
             return []
         ts.pos = probe
-    polys.append(parse_poly_tokens(ts, ring))
-    while ts.try_sym(","):
-        polys.append(parse_poly_tokens(ts, ring))
-    return polys
+    return _comma_list(ts, parse_poly_tokens, ring)
 
 
 def parse_instance(text):
@@ -150,24 +166,9 @@ def parse_instance(text):
     ts = TokenStream(tokenize(text))
     ring = None
     ring_name = None
-    ideals = {}
-    modules = {}
+    names = {kind: {} for kind in _NAME_WHAT}
     module_defs = {}
-    regseqs = {}
     directives = []
-
-    def check_fresh(name_tok, kind, table):
-        if name_tok.value in table:
-            raise ParseError(
-                f"duplicate {kind} name {name_tok.value!r}",
-                name_tok.line,
-                name_tok.col,
-            )
-
-    def need_ring(tok):
-        if ring is None:
-            raise ParseError("no ring in scope", tok.line, tok.col)
-
     while ts.peek().kind != "eof":
         head = ts.expect_ident("statement keyword")
         if head.value == "ring":
@@ -177,153 +178,128 @@ def parse_instance(text):
             ts.expect_sym("=")
             ring = parse_ring_spec(ts)
             ts.expect_sym(";")
-        elif head.value == "ideal":
-            need_ring(head)
-            name = ts.expect_ident("ideal name")
-            check_fresh(name, "ideal", ideals)
-            ts.expect_sym("=")
-            polys = parse_poly_list(ts, ring)
-            ts.expect_sym(";")
-            ideals[name.value] = Ideal(ring, tuple(polys))
-        elif head.value == "module":
-            need_ring(head)
-            name = ts.expect_ident("module name")
-            check_fresh(name, "module", modules)
-            ts.expect_sym("=")
-            kw = ts.expect_ident("quotient keyword")
-            if kw.value != "quotient":
-                raise ParseError("expected 'quotient'", kw.line, kw.col)
-            ref = ts.peek()
-            if ref.kind == "int" and ref.value == 0:
-                ts.next()
-                defining = Ideal(ring, ())
-                module_defs[name.value] = "0"
-            else:
-                ref = ts.expect_ident("ideal name")
-                if ref.value not in ideals:
-                    raise ParseError(
-                        f"unresolved ideal {ref.value!r}", ref.line, ref.col
-                    )
-                defining = ideals[ref.value]
-                module_defs[name.value] = ref.value
-            ts.expect_sym(";")
-            try:
-                modules[name.value] = CyclicModule(ring, defining)
-            except ValueError as exc:
-                raise ParseError(str(exc), name.line, name.col) from None
-        elif head.value == "regseq":
-            need_ring(head)
-            name = ts.expect_ident("sequence name")
-            check_fresh(name, "regseq", regseqs)
-            ts.expect_sym("=")
-            polys = [parse_poly_tokens(ts, ring)]
-            while ts.try_sym(","):
-                polys.append(parse_poly_tokens(ts, ring))
-            ts.expect_sym(";")
-            regseqs[name.value] = tuple(polys)
+        elif head.value not in names and head.value != "check":
+            raise ParseError(f"unknown statement {head.value!r}", head.line, head.col)
+        elif ring is None:
+            raise ParseError("no ring in scope", head.line, head.col)
         elif head.value == "check":
-            need_ring(head)
-            id_tok = ts.expect_ident("check id")
-            try:
-                check_id = CheckId(id_tok.value)
-            except ValueError:
-                raise ParseError(
-                    f"unknown check {id_tok.value!r}", id_tok.line, id_tok.col
-                ) from None
-            ts.expect_sym("(")
-            args = {}
-            if not ts.at_sym(")"):
-                while True:
-                    key_tok = ts.expect_ident("argument name")
-                    key = key_tok.value
-                    if key not in _ARG_ORDER:
-                        raise ParseError(
-                            f"unknown argument {key!r}", key_tok.line, key_tok.col
-                        )
-                    if key in args:
-                        raise ParseError(
-                            f"duplicate argument {key!r}", key_tok.line, key_tok.col
-                        )
-                    ts.expect_sym("=")
-                    val_tok = ts.expect_ident("name")
-                    table = (
-                        ideals
-                        if key in _IDEAL_ARGS
-                        else regseqs
-                        if key in _SEQ_ARGS
-                        else modules
-                    )
-                    if val_tok.value not in table:
-                        raise ParseError(
-                            f"unresolved reference {val_tok.value!r}",
-                            val_tok.line,
-                            val_tok.col,
-                        )
-                    args[key] = val_tok.value
-                    if not ts.try_sym(","):
-                        break
-            ts.expect_sym(")")
-            ts.expect_sym(";")
-            if check_id not in GLOBAL_CHECKS:
-                for required in ("a", "I", "M"):
-                    if required not in args:
-                        raise ParseError(
-                            f"check {check_id.value} needs argument {required!r}",
-                            id_tok.line,
-                            id_tok.col,
-                        )
-                for ideal_key, seq_key in zip(("I", "alt_I"), _SEQ_ARGS):
-                    if ideal_key in args and seq_key not in args and ideals[args[ideal_key]].gens:
-                        raise ParseError(
-                            f"check needs {seq_key}= for a nonzero linking ideal",
-                            id_tok.line,
-                            id_tok.col,
-                        )
-            directives.append(CheckDirective(check_id, args, head.line))
+            directives.append(_parse_check(ts, head, names))
         else:
-            raise ParseError(
-                f"unknown statement {head.value!r}", head.line, head.col
-            )
+            _parse_declaration(ts, head.value, ring, names, module_defs)
     if ring is None:
         tok = ts.peek()
         raise ParseError("no ring in scope", tok.line, tok.col)
     return InstanceFile(
         ring=ring,
         ring_name=ring_name,
-        ideals=ideals,
-        modules=modules,
+        ideals=names["ideal"],
+        modules=names["module"],
         module_defs=module_defs,
-        regseqs=regseqs,
+        regseqs=names["regseq"],
         directives=directives,
     )
+
+
+def _parse_declaration(ts, kind, ring, names, module_defs):
+    """`NAME = body ;` after the keyword `kind`; a module's R/J is built, and
+    refused for a unit J, only once its `;` is read."""
+    name = ts.expect_ident(_NAME_WHAT[kind])
+    if name.value in names[kind]:
+        raise ParseError(f"duplicate {kind} name {name.value!r}", name.line, name.col)
+    ts.expect_sym("=")
+    if kind == "ideal":
+        value = Ideal(ring, parse_poly_list(ts, ring))
+    elif kind == "regseq":
+        value = tuple(_comma_list(ts, parse_poly_tokens, ring))
+    else:
+        kw = ts.expect_ident("quotient keyword")
+        if kw.value != "quotient":
+            raise ParseError("expected 'quotient'", kw.line, kw.col)
+        ref = ts.peek()
+        if ref.kind == "int" and ref.value == 0:
+            ts.next()
+            module_defs[name.value] = "0"
+            defining = Ideal(ring, ())
+        else:
+            ref = ts.expect_ident("ideal name")
+            if ref.value not in names["ideal"]:
+                raise ParseError(f"unresolved ideal {ref.value!r}", ref.line, ref.col)
+            module_defs[name.value] = ref.value
+            defining = names["ideal"][ref.value]
+    ts.expect_sym(";")
+    if kind == "module":
+        try:
+            value = CyclicModule(ring, defining)
+        except ValueError as exc:
+            raise ParseError(str(exc), name.line, name.col) from None
+    names[kind][name.value] = value
+
+
+def _parse_check(ts, head, names):
+    """`CHECKID ( arguments ) ;` after the keyword; the arguments a check
+    needs are asked for once its `;` is read."""
+    id_tok = ts.expect_ident("check id")
+    try:
+        check_id = CheckId(id_tok.value)
+    except ValueError:
+        raise ParseError(f"unknown check {id_tok.value!r}", id_tok.line, id_tok.col) from None
+    ts.expect_sym("(")
+    args = {}
+    if not ts.at_sym(")"):
+        _comma_list(ts, _parse_argument, names, args)
+    ts.expect_sym(")")
+    ts.expect_sym(";")
+    required = () if check_id in GLOBAL_CHECKS else ("a", "I", "M")
+    if args and not required:
+        raise ParseError(f"check {check_id.value} takes no arguments", id_tok.line, id_tok.col)
+    for key in required:
+        if key not in args:
+            raise ParseError(
+                f"check {check_id.value} needs argument {key!r}", id_tok.line, id_tok.col
+            )
+    for ideal_key, seq_key in (("I", "seq"), ("alt_I", "alt_seq")):
+        if ideal_key in args and seq_key not in args and names["ideal"][args[ideal_key]].gens:
+            raise ParseError(
+                f"check needs {seq_key}= for a nonzero linking ideal", id_tok.line, id_tok.col
+            )
+    return CheckDirective(check_id, args, head.line)
+
+
+def _parse_argument(ts, names, args):
+    """`argname = NAME` into args, with NAME declared as the kind argname takes."""
+    key_tok = ts.expect_ident("argument name")
+    key = key_tok.value
+    if key not in _CHECK_ARGS:
+        raise ParseError(f"unknown argument {key!r}", key_tok.line, key_tok.col)
+    if key in args:
+        raise ParseError(f"duplicate argument {key!r}", key_tok.line, key_tok.col)
+    ts.expect_sym("=")
+    val_tok = ts.expect_ident("name")
+    if val_tok.value not in names[_CHECK_ARGS[key]]:
+        raise ParseError(f"unresolved reference {val_tok.value!r}", val_tok.line, val_tok.col)
+    args[key] = val_tok.value
+
+
+def format_declaration(kind, name, polys):
+    """The `ideal` or `regseq` statement declaring name as polys; no
+    polynomials (the zero ideal) are written 0."""
+    return f"{kind} {name} = {', '.join(map(poly_str, polys)) or '0'};"
+
+
+def format_check(check_id, args):
+    """The `check` statement, its arguments in _CHECK_ARGS order."""
+    listed = ", ".join(f"{key} = {args[key]}" for key in _CHECK_ARGS if key in args)
+    return f"check {check_id.value}({listed});"
 
 
 def print_instance(parsed):
     """Canonical text form: declaration order kept, polynomials canonical,
     comments stripped, arguments in fixed order."""
-    lines = []
-    field = parsed.ring.field
-    field_str = "QQ" if field.characteristic == 0 else f"FP({field.characteristic})"
-    lines.append(
-        f"ring {parsed.ring_name} = {field_str}[{', '.join(parsed.ring.vars)}] "
-        f"{parsed.ring.order};"
-    )
-    for name, ideal in parsed.ideals.items():
-        if not ideal.gens:
-            lines.append(f"ideal {name} = 0;")
-        else:
-            lines.append(
-                f"ideal {name} = {', '.join(poly_str(g) for g in ideal.gens)};"
-            )
-    for name in parsed.modules:
-        lines.append(f"module {name} = quotient {parsed.module_defs[name]};")
-    for name, seq in parsed.regseqs.items():
-        lines.append(f"regseq {name} = {', '.join(poly_str(g) for g in seq)};")
-    for d in parsed.directives:
-        args = ", ".join(
-            f"{key} = {d.args[key]}" for key in _ARG_ORDER if key in d.args
-        )
-        lines.append(f"check {d.check.value}({args});")
+    lines = [f"ring {parsed.ring_name} = {parsed.ring!r};"]
+    lines += [format_declaration("ideal", n, ideal.gens) for n, ideal in parsed.ideals.items()]
+    lines += [f"module {n} = quotient {ref};" for n, ref in parsed.module_defs.items()]
+    lines += [format_declaration("regseq", n, seq) for n, seq in parsed.regseqs.items()]
+    lines += [format_check(d.check, d.args) for d in parsed.directives]
     return "\n".join(lines) + "\n"
 
 

@@ -132,6 +132,28 @@ def test_non_geometric_grade_formula_inapplicable(r2):
     )
 
 
+# T5_CD's gates over M = R/J, which no corpus file reaches: an embedded prime
+# of M/IM (L07 holds there), and a J for which no cd oracle answers.
+T5_GATES = [
+    ("x^2, x*y", "x, z", "x, y, z", "z", "Ass(M/IM) has an embedded prime"),
+    ("z", "x, y", "x, y", "x^2, y", "no cd oracle applies to this instance"),
+]
+
+
+@pytest.mark.parametrize("J, a, b, I, hypothesis", T5_GATES)
+def test_t5_gates_over_a_quotient(J, a, b, I, hypothesis):
+    args = "(a = a, b = b, I = I, M = M, seq = s);\n"
+    text = (
+        "ring R = QQ[x, y, z] grevlex;\n"
+        f"ideal J = {J};\nideal a = {a};\nideal b = {b};\nideal I = {I};\n"
+        f"module M = quotient J;\nregseq s = {I};\n"
+        f"check L07{args}check T5_CD{args}"
+    )
+    l07, t5 = run_suite(parse_instance(text))
+    assert l07.status == HOLDS
+    assert (t5.status, t5.details) == (INAPPLICABLE, {"hypothesis": hypothesis})
+
+
 def test_c11_needs_four_variables(r2):
     verdict = run_check(CheckId.C11_GLOBAL, r2, [])
     assert verdict.status == INAPPLICABLE

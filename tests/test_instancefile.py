@@ -1,7 +1,12 @@
+import hashlib
+import json
+import random
+
 import pytest
 
+from conftest import CORPUS_DIR
 from liaison.checks import CheckId
-from liaison.errors import ParseError
+from liaison.errors import ParseError, ResourceLimitError
 from liaison.instancefile import instance_digest, parse_instance, print_instance
 
 FLAGSHIP_MIN = """\
@@ -133,10 +138,100 @@ def test_comments_do_not_change_digest():
 def test_instances_deduplicated(corpus_files):
     parsed = parse_instance(corpus_files["flagship.link"])
     instances = parsed.instances()
-    # ten instance-level directives, all over the same (a, b, I, M) data or
-    # the aprime variant: two distinct argument signatures
-    assert len(instances) == {len(instances)}.pop()
+    # ten instance-level directives with three argument signatures: the
+    # (a, b, I, M, seq) of eight checks, APRIME_T7's alternates, and S_REFLEX
+    # without b
+    assert len(instances) == 3
     assert len(instances) < sum(
         1 for d in parsed.directives if d.check.value not in
         ("C11_GLOBAL", "T1_GLOBAL", "C1_WITNESS")
     )
+
+
+RING = "ring R = QQ[x, y] grevlex;\n"
+DECLS = RING + "ideal a = x, y;\nmodule M = quotient 0;\n"
+
+# (text, message, line, col) of every ParseError path that no other test
+# reaches, the two orderings where a statement has two errors (a missing ';'
+# is reported before a unit J or a missing argument), and a global check
+# given arguments.
+PARSE_ERRORS = [
+    ("", "no ring in scope", 1, 1),
+    ("# only a comment\n", "no ring in scope", 2, 1),
+    (RING + "ring S = QQ[x] lex;\n", "second ring declaration", 2, 1),
+    (RING + "module M = quot 0;\n", "expected 'quotient'", 2, 12),
+    (DECLS + "check L07(a = a, z = a);\n", "unknown argument 'z'", 4, 18),
+    (DECLS + "check L07(a = a, a = a);\n", "duplicate argument 'a'", 4, 18),
+    (DECLS + "check L07(a = nope);\n", "unresolved reference 'nope'", 4, 15),
+    (DECLS + "check L07(a = M);\n", "unresolved reference 'M'", 4, 15),
+    (DECLS + "check L07(a = a, M = M);\n", "check L07 needs argument 'I'", 4, 7),
+    (RING + "poly f = x;\n", "unknown statement 'poly'", 2, 1),
+    (RING + "ideal u = 1;\nmodule M = quotient u\nideal b = x;\n", "expected ';'", 4, 1),
+    (DECLS + "check L07(a = a, M = M)\n", "expected ';'", 5, 1),
+    (DECLS + "check C11_GLOBAL(a = a);\n", "check C11_GLOBAL takes no arguments", 4, 7),
+]
+
+
+@pytest.mark.parametrize("text, message, line, col", PARSE_ERRORS)
+def test_parse_error_message_and_position(text, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
+
+
+# Seeded text mutations: every outcome must be a ParseError located inside the
+# text, a ResourceLimitError, or a parse whose printed form re-parses to the
+# same text.  The digest pins every outcome, so a parser refactor that changes
+# a message, a position or which error wins shows up here.
+MUTANTS_PER_TEXT = 150
+MUTATION_SEED = 19
+MUTATION_DIGEST = "76704e8c8b4c338ed484bd8051f40958e3264358ffb114c6817b9717c2c211d5"
+_SNIPPETS = (
+    ";", ",", "=", "(", ")", "0", "1", "7", "^", "^300", "*", "+", "-", "/",
+    " ", "\n", "#", "x", "y", "a", "b", "I", "M", "s", "s2", "quotient",
+    "ideal ", "module ", "regseq ", "check ", "ring ", "a = a, ", "seq = s",
+    "L07", "C11_GLOBAL", "FP(", "QQ", "lex", "\u00e9", "\u00b9",
+)
+
+
+def _mutate(rng, text):
+    for _ in range(rng.randint(1, 4)):
+        pos = rng.randrange(len(text) + 1)
+        kind = rng.randrange(3)
+        if kind == 0:
+            text = text[:pos] + text[pos + rng.randint(1, 3):]
+        elif kind == 1:
+            text = text[:pos] + rng.choice(_SNIPPETS) + text[pos:]
+        else:
+            lines = text.split("\n")
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice(lines))
+            text = "\n".join(lines)
+    return text
+
+
+def _outcome(text):
+    try:
+        parsed = parse_instance(text)
+    except ParseError as exc:
+        lines = text.split("\n")
+        assert 1 <= exc.line <= len(lines), (text, exc)
+        assert 1 <= exc.col <= len(lines[exc.line - 1]) + 1, (text, exc)
+        return ["error", exc.message, exc.line, exc.col]
+    except ResourceLimitError as exc:
+        return ["limit", str(exc)]
+    printed = print_instance(parsed)
+    assert print_instance(parse_instance(printed)) == printed, text
+    return ["parsed", instance_digest(parsed)]
+
+
+def test_mutated_texts_end_in_a_parse_or_a_located_error():
+    bases = [path.read_text() for path in sorted(CORPUS_DIR.glob("*.link"))]
+    bases += [FLAGSHIP_MIN] + [text for text, *_ in PARSE_ERRORS]
+    rng = random.Random(MUTATION_SEED)
+    outcomes = [_outcome(text) for text in bases]
+    for base in bases:
+        outcomes += [_outcome(_mutate(rng, base)) for _ in range(MUTANTS_PER_TEXT)]
+    kinds = [o[0] for o in outcomes]
+    assert kinds.count("parsed") >= 50
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert digest == MUTATION_DIGEST
