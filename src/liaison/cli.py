@@ -158,7 +158,7 @@ def _cmd_compute(args):
         lo = hi = cd_oracle(ideal, module)
         if lo is None:  # no exact oracle: [grade, min(#generators, dim R)]
             gens = ideal.groebner() if is_monomial_ideal(ideal) else set(ideal.gens) - {ring.zero}
-            lo, hi = grade, min(len(gens), ring.dim)
+            lo, hi = grade, min(len(gens), ring.nvars)
         if grade > lo:
             raise ValueError("grade exceeds the cd lower bound")
         print(lo if lo == hi else f"[{lo}, {hi}]")

@@ -299,15 +299,14 @@ def reduce_normal_form(f, basis):
     return _normal_form(f.ring, _work((f,)), [(b,) for b in basis])[0]
 
 
-def reduced_groebner_basis(gens, ring=None):
-    """The unique reduced, monic, auto-reduced basis, sorted by decreasing
-    leading monomial.  Empty for the zero ideal; (1,) for the unit ideal."""
+def reduced_groebner_basis(gens):
+    """The unique reduced, monic, auto-reduced basis, in the generators' ring,
+    sorted by decreasing leading monomial.  Empty for the zero ideal; (1,)
+    for the unit ideal."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return ()
-    _require_one_ring(gens)
-    if ring is None:
-        ring = gens[0].ring
+    ring = _require_one_ring(gens)
 
     def compute():
         exps = single_term_exponents(gens)
@@ -342,7 +341,7 @@ class Ideal:
 
     def groebner(self):
         if self._gb is None:
-            self._gb = reduced_groebner_basis(self.gens, self.ring)
+            self._gb = reduced_groebner_basis(self.gens)
         return self._gb
 
     def gens_key(self):
@@ -386,6 +385,18 @@ def unit_vector(ring, rank, pos, poly=None):
     row = [ring.zero] * rank
     row[pos] = ring.one if poly is None else poly
     return tuple(row)
+
+
+def ideal_rows(ring, ideals):
+    """The rows g*e_j of R^len(ideals), for each position j and each nonzero
+    generator g of ideals[j]: generators of ideals[0]*e_0 + ... ."""
+    rank = len(ideals)
+    return [
+        unit_vector(ring, rank, j, g)
+        for j, I in enumerate(ideals)
+        for g in I.gens
+        if not g.is_zero()
+    ]
 
 
 def _rows(rows):

@@ -19,11 +19,11 @@ from .errors import RingMismatchError
 from .groebner import (
     Ideal,
     exp_divides,
+    ideal_rows,
     intersect_exponents,
     reduced_groebner_basis,
     single_term_exponents,
     syzygy_module,
-    unit_vector,
 )
 from .limits import memo
 
@@ -48,14 +48,8 @@ def ideal_contains(I, J):
 def _colon(ring, v, ideals):
     """(I1*e1 + ... + Ir*er) :_R v for a row v of R^r: the first coordinates
     of the syzygies of v and the rows g*ej, g a generator of Ij."""
-    rows = [tuple(v)] + [
-        unit_vector(ring, len(v), j, g)
-        for j, I in enumerate(ideals)
-        for g in I.gens
-        if not g.is_zero()
-    ]
-    firsts = [s[0] for s in syzygy_module(rows)]
-    return Ideal(ring, reduced_groebner_basis(firsts, ring))
+    firsts = [s[0] for s in syzygy_module([tuple(v)] + ideal_rows(ring, ideals))]
+    return Ideal(ring, reduced_groebner_basis(firsts))
 
 
 def intersect_ideals(I, J):
@@ -94,7 +88,7 @@ def _quotient(I, gens):
     for g in gens:
         m = g.terms[0][0]
         firsts = [ring.monomial(tuple(max(x - y, 0) for x, y in zip(e, m))) for e in exps]
-        q = Ideal(ring, reduced_groebner_basis(firsts, ring))
+        q = Ideal(ring, reduced_groebner_basis(firsts))
         result = q if result is None else intersect_ideals(result, q)
     return result
 

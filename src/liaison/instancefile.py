@@ -73,16 +73,13 @@ class InstanceFile(Record):
 
     def instance_for(self, directive):
         args = directive.args
-        module = self.modules[args["M"]]
-        b = self.ideals[args["b"]] if "b" in args else None
         return LinkageInstance(
             ring=self.ring,
-            module=module,
+            module=self.modules[args["M"]],
             a=self.ideals[args["a"]],
             I=self.ideals[args["I"]],
             witness=self._witness_for(directive, "seq"),
-            b=b,
-            name=f"line {directive.line}",
+            b=self.ideals[args["b"]] if "b" in args else None,
         )
 
     def alternate_for(self, directive):

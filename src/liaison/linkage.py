@@ -228,7 +228,7 @@ class LinkageInstance(Record):
     """One concrete linkage situation: a (and optionally b) against I over M,
     with the regular-sequence witness for I."""
 
-    def __init__(self, ring, module, a, I, witness, b=None, name=""):
+    def __init__(self, ring, module, a, I, witness, b=None):
         self._set(locals())
 
     def partner(self):

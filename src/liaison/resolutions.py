@@ -14,6 +14,7 @@ of a and J, and the degree.
 """
 
 from .groebner import (
+    ideal_rows,
     module_groebner_basis,
     module_normal_form,
     syzygy_module,
@@ -38,60 +39,33 @@ class FreeResolution(Record):
         return len(self.diffs)
 
 
-def _prune_units(prev_cols, cols, ring):
-    """Split off every trivial summand signalled by a unit (nonzero constant)
-    entry.
+def _prune_units(prev_cols, cols):
+    """Split off the trivial summands that unit (nonzero constant) entries
+    signal, until no unit is left.
 
-    cols is a mutable list of mutable coordinate lists (the columns of
-    d_{i+1}); prev_cols the columns of d_i.  A unit at (row r,
-    column c) makes every other column b lose (b[r]/u) * column c, after
-    which row r, column c, and column r of the previous matrix are dead.
-    Dead rows and columns are only marked during elimination and compacted
-    once at the end, which keeps the whole pass near-linear in the number of
-    nonzero entries.
+    cols holds the columns of d_{i+1} and prev_cols those of d_i, as tuples
+    of coordinates.  A unit u at row r of column c makes every other column
+    lose (its row-r entry / u) * column c; then column c, row r of every
+    column and column r of d_i are dropped.  Returns the pruned
+    (prev_cols, cols).
     """
-    field = ring.field
-    rank = len(cols[0])
-    dead_col = [False] * len(cols)
-    dead_row = [False] * rank
-    live_rows = list(range(rank))
-    progress = True
-    while progress:
-        progress = False
-        for c, col in enumerate(cols):
-            if dead_col[c]:
-                continue
-            pivot_row = None
-            for r in live_rows:
-                entry = col[r]
-                if not entry.is_zero() and entry.is_constant():
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                continue
-            r = pivot_row
-            inv = field.inv(col[r].constant_coeff())
-            pivot_support = [
-                rr for rr in live_rows if rr != r and not col[rr].is_zero()
-            ]
-            for b, other in enumerate(cols):
-                if b == c or dead_col[b]:
-                    continue
-                factor = other[r]
-                if factor.is_zero():
-                    continue
-                scaled = factor.scale(inv)
-                for rr in pivot_support:
-                    other[rr] = other[rr] - scaled * col[rr]
-                other[r] = ring.zero
-            dead_col[c] = True
-            dead_row[r] = True
-            live_rows.remove(r)
-            progress = True
-    new_cols = [
-        [col[r] for r in live_rows] for c, col in enumerate(cols) if not dead_col[c]
-    ]
-    return [prev_cols[r] for r in live_rows], new_cols
+    while True:
+        pivot = next(
+            ((c, r) for c, col in enumerate(cols) for r, e in enumerate(col)
+             if e and e.is_constant()),
+            None,
+        )
+        if pivot is None:
+            return prev_cols, cols
+        c, r = pivot
+        col = cols.pop(c)
+        inv = col[r].ring.field.inv(col[r].constant_coeff())
+        for b, other in enumerate(cols):
+            if other[r]:
+                factor = other[r].scale(inv)
+                cols[b] = tuple(e - factor * p for e, p in zip(other, col))
+        cols = [other[:r] + other[r + 1 :] for other in cols]
+        prev_cols = prev_cols[:r] + prev_cols[r + 1 :]
 
 
 def free_resolution(a):
@@ -109,31 +83,17 @@ def _resolve(a, gens):
     ring = a.ring
     if any(g.is_constant() for g in gens) or a.is_unit():
         raise ValueError("cannot resolve the zero module R/(1)")
-
-    diffs = []  # mutable column lists during construction
-    if gens:
-        diffs.append([[g] for g in gens])
-        while True:
-            syz = syzygy_module(diffs[-1])
-            if not syz:
-                break
-            cols = [list(v) for v in syz]
-            prev, cols = _prune_units(diffs[-1], cols, ring)
-            diffs[-1] = prev
-            if not cols:
-                break
-            diffs.append(cols)
-            if len(diffs) > ring.nvars + 1:
-                raise AssertionError(
-                    "resolution exceeded the Hilbert syzygy bound; internal defect"
-                )
-        while diffs and not diffs[-1]:
-            diffs.pop()
-
-    ranks = [1] + [len(cols) for cols in diffs]
-    return FreeResolution(
-        ring, tuple(ranks), tuple(tuple(map(tuple, cols)) for cols in diffs)
-    )
+    diffs = []
+    cols = [(g,) for g in gens]
+    # Pruning drops only columns that are combinations of the others, so a
+    # nonzero image keeps a column: no differential comes out empty, and the
+    # loop ends at the first map with no syzygies left after pruning.
+    while cols:
+        if len(diffs) > ring.nvars:
+            raise AssertionError("resolution exceeded the Hilbert syzygy bound; internal defect")
+        prev, cols = _prune_units(cols, syzygy_module(cols))
+        diffs.append(tuple(prev))
+    return FreeResolution(ring, (1, *map(len, diffs)), tuple(diffs))
 
 
 def pd_via_resolution(a):
@@ -152,16 +112,6 @@ def _transpose_column(res, i, r):
     return tuple(col[r] for col in res.diffs[i - 1])
 
 
-def _j_unit_vectors(ring, rank, J):
-    out = []
-    for j in J.gens:
-        if j.is_zero():
-            continue
-        for pos in range(rank):
-            out.append(unit_vector(ring, rank, pos, j))
-    return out
-
-
 def _relative_kernel(res, i, J):
     """Generators of {v in R^{b_i} : d_{i+1}^T v in J * R^{b_{i+1}}}."""
     ring = res.ring
@@ -170,7 +120,7 @@ def _relative_kernel(res, i, J):
         return [unit_vector(ring, b_i, pos) for pos in range(b_i)]
     b_next = res.ranks[i + 1]
     columns = [_transpose_column(res, i + 1, r) for r in range(b_i)]
-    tagged = columns + _j_unit_vectors(ring, b_next, J)
+    tagged = columns + ideal_rows(ring, [J] * b_next)
     heads = (syz[:b_i] for syz in syzygy_module(tagged))
     return [head for head in heads if any(head)]
 
@@ -183,7 +133,7 @@ def _image_basis(res, i, J):
     if i >= 1:
         b_prev = res.ranks[i - 1]
         gens.extend(_transpose_column(res, i, r) for r in range(b_prev))
-    gens.extend(_j_unit_vectors(ring, b_i, J))
+    gens.extend(ideal_rows(ring, [J] * b_i))
     return module_groebner_basis(gens)
 
 
@@ -195,17 +145,16 @@ def ext_nonzero(i, a, M):
 
 
 def _ext_nonzero(res, i, a, J):
-    """Ext^i(R/a, R/J) != 0, read off res, a resolution of R/a."""
+    """Ext^i(R/a, R/J) != 0, read off res, a resolution of R/a: some
+    generator of the relative kernel lies outside the image."""
     if i > res.length:
         return False
-    key = (a.ring, a.gens_key(), J.gens_key(), i)
-    return memo("ext", key, lambda: _ext_survives(res, i, J))
 
+    def survives():
+        image = _image_basis(res, i, J)
+        return any(any(module_normal_form(v, image)) for v in _relative_kernel(res, i, J))
 
-def _ext_survives(res, i, J):
-    kernel = _relative_kernel(res, i, J)
-    image = _image_basis(res, i, J)
-    return any(any(module_normal_form(v, image)) for v in kernel)
+    return memo("ext", (a.ring, a.gens_key(), J.gens_key(), i), survives)
 
 
 def nonzero_ext_degrees(a, M):

@@ -69,10 +69,6 @@ class PolyRing:
     def nvars(self):
         return len(self.vars)
 
-    @property
-    def dim(self):
-        return len(self.vars)
-
     def __eq__(self, other):
         if self is other:
             return True

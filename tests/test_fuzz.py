@@ -7,7 +7,9 @@ with M = R or M = R/J (J non-radical too), and witnesses that are often
 invalid; every file runs all 13 checks through `liaison run`.  Files from
 seeds of their own also name a partner b and an APRIME_T7 alternate.  Each
 seed's reports are pinned by digest, since no benchmark workload reaches
-these inputs.
+these inputs.  A random b is never linked to a, so files from further seeds
+declare a partner that is: b and a split the primes of a squarefree monomial
+complete intersection I.
 
 A `fails` whose reason is "resource limit exceeded" (exit 3) is a cap
 tripping, not a wrong verdict: it is counted apart from the wrong verdicts.
@@ -16,6 +18,7 @@ tripping, not a wrong verdict: it is counted apart from the wrong verdicts.
 import json
 import random
 import time
+from itertools import combinations, product
 
 import pytest
 
@@ -34,6 +37,10 @@ MIN_HOLDS_OVER_QUOTIENTS = 30
 # of their own so that the files above do not change.
 PARTNER_SEEDS = (1, 2)
 MIN_HOLDS_WITH_PARTNERS = 160
+# Files whose declared b is linked to a by I (see linked_instance), from
+# seeds of their own as well.
+LINKED_SEEDS = (4, 6)
+MIN_PAIR_HOLDS_WITH_LINKED_PARTNERS = 900
 # sha256 of each seed's exit codes and millis-free reports (see
 # outcomes_digest): the reports must stay byte-identical on M = R/J, GF(p),
 # lex and invalid witnesses, which no benchmark workload reaches.
@@ -43,6 +50,8 @@ REPORT_DIGESTS = {
     11: "1f24625ee9ecf9149ca83fe9b11928083c5e6cbe60b6df2f936b066f805fd7ec",
     1: "40cecaa46930693ed95d9e4e842ceb45c559b7f89e74530947816cf45afe06b6",
     2: "d1cb70a64151984decd6f0a6bfbdb2d71dbc74023ed886689d5bde8d586a98bc",
+    4: "0bc893e775a2835946f6c6aefac133c53d55deea626d4fdcd9acc6c8664d318b",
+    6: "d2fb2b2a02236512f03025abc260b92d6ee885bce015e16af776e303a5b5606f",
 }
 
 FIELDS = (("QQ", 0), ("FP(2)", 2), ("FP(3)", 3), ("FP(7)", 7))
@@ -152,6 +161,67 @@ def random_instance(rng, partners=False):
     return "\n".join(lines) + "\n"
 
 
+def _transversals(primes):
+    """The minimal sets of variables that meet every prime of primes (sets
+    of variables): the supports of the minimal monomial generators of the
+    intersection of the primes."""
+    variables = sorted(set().union(*primes))
+    hitting = [
+        set(T)
+        for k in range(1, len(variables) + 1)
+        for T in combinations(variables, k)
+        if all(p.intersection(T) for p in primes)
+    ]
+    return [T for T in hitting if not any(U < T for U in hitting)]
+
+
+def _monomial_ideal_text(supports):
+    return ", ".join("*".join(f"x{i + 1}" for i in sorted(T)) for T in supports)
+
+
+def linked_instance(rng):
+    """One file whose declared b is linked to a by I, built without liaison.
+
+    I is generated by squarefree monomials on disjoint supports, so it is a
+    radical complete intersection whose primes choose one variable per
+    generator; a is the intersection of a random nonempty proper subset of
+    those primes and b that of the rest, so I : a = b and I : b = a.  M is R
+    or R/(x_k) for a variable x_k outside every support, on which I stays a
+    regular sequence."""
+    n = rng.randint(3, 6)
+    field, _ = rng.choice(FIELDS)
+    order = rng.choice(("lex", "grevlex"))
+    while True:
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        if max(sizes) >= 2 and sum(sizes) <= n:
+            break
+    free = list(range(n))
+    rng.shuffle(free)
+    blocks = []
+    for size in sizes:
+        blocks.append(free[:size])
+        free = free[size:]
+    primes = [set(p) for p in product(*blocks)]
+    rng.shuffle(primes)
+    k = rng.randint(1, len(primes) - 1)
+    I_text = _monomial_ideal_text(blocks)
+    variables = ", ".join(f"x{i + 1}" for i in range(n))
+    lines = [
+        f"ring R = {field}[{variables}] {order};",
+        f"ideal a = {_monomial_ideal_text(_transversals(primes[:k]))};",
+        f"ideal b = {_monomial_ideal_text(_transversals(primes[k:]))};",
+        f"ideal I = {I_text};",
+    ]
+    if free and rng.random() < 0.5:
+        lines += [f"ideal J = x{rng.choice(free) + 1};", "module M = quotient J;"]
+    else:
+        lines.append("module M = quotient 0;")
+    lines.append(f"regseq s = {I_text};")
+    lines += [f"check {c}(a = a, b = b, I = I, M = M, seq = s);" for c in PAIR_CHECKS]
+    lines += [f"check {c}();" for c in GLOBAL]
+    return "\n".join(lines) + "\n"
+
+
 def run_files(texts, tmp_path):
     """Run each file through `liaison run`; return the wrong verdicts, the
     files that tripped a cap, the slow files, the `holds` count, the `holds`
@@ -214,5 +284,25 @@ def test_random_files_with_partners_never_fail(seed, tmp_path, monkeypatch):
     assert not wrong, wrong[0]
     assert not slow, max(slow)
     assert holds >= MIN_HOLDS_WITH_PARTNERS, f"{len(resource)} files tripped a resource cap"
+    run = load_perfbench("run", monkeypatch)
+    assert outcomes_digest(outcomes, run) == REPORT_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("seed", LINKED_SEEDS)
+def test_random_files_with_linked_partners_never_fail(seed, tmp_path, monkeypatch):
+    rng = random.Random(seed)
+    texts = [linked_instance(rng) for _ in range(FILES_PER_SEED)]
+    wrong, resource, slow, _, _, outcomes = run_files(texts, tmp_path)
+    assert not wrong, wrong[0]
+    assert not slow, max(slow)
+    pair_holds = sum(
+        v["status"] == "holds" and v["check"] in PAIR_CHECKS
+        for _, report in outcomes
+        if report
+        for v in report["verdicts"]
+    )
+    assert pair_holds >= MIN_PAIR_HOLDS_WITH_LINKED_PARTNERS, (
+        f"{len(resource)} files tripped a resource cap"
+    )
     run = load_perfbench("run", monkeypatch)
     assert outcomes_digest(outcomes, run) == REPORT_DIGESTS[seed]

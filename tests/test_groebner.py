@@ -2,7 +2,7 @@ import pytest
 
 from conftest import random_polynomial, seeded
 from liaison.errors import ResourceLimitError, RingMismatchError
-from liaison.fields import QQ
+from liaison.fields import GF, QQ
 from liaison.groebner import (
     Ideal,
     _check_coeff_bits,
@@ -44,6 +44,16 @@ def test_reduced_basis_examples(r2):
     assert gb == (xl - yl, yl**2 - lex.constant(QQ.frac(1, 2)))
 
 
+def test_reduced_basis_lives_in_the_generators_ring(r2):
+    x, y = r2.gens()
+    fp = PolyRing(GF(7), ["x", "y"])
+    assert all(g.ring == r2 for g in reduced_groebner_basis([x + y, x - y]))
+    with pytest.raises(RingMismatchError):
+        reduced_groebner_basis([x, fp.gen(1)])
+    with pytest.raises(TypeError):
+        reduced_groebner_basis([x], fp)  # no ring can disagree with the generators
+
+
 def test_zero_and_unit_conventions(r2):
     assert reduced_groebner_basis([r2.zero]) == ()
     assert reduced_groebner_basis([r2.one]) == (r2.one,)
@@ -71,9 +81,9 @@ def test_basis_invariant_under_permutation(r3):
     rng = seeded(9)
     for _ in range(10):
         gens = [random_polynomial(rng, r3) for _ in range(3)]
-        reference = reduced_groebner_basis(gens, r3)
+        reference = reduced_groebner_basis(gens)
         flipped = list(reversed(gens))
-        assert reduced_groebner_basis(flipped, r3) == reference
+        assert reduced_groebner_basis(flipped) == reference
 
 
 def test_groebner_cache_write_once(r2):

@@ -313,7 +313,7 @@ def test_grade_cd_generator_bounds():
             continue
         grade = grade_via_ext(I, free_module(ring))
         cd = cd_monomial(I)
-        assert grade <= cd <= min(len(I.groebner()), ring.dim)
+        assert grade <= cd <= min(len(I.groebner()), ring.nvars)
         done += 1
 
 

@@ -32,7 +32,7 @@ RECORDS = {
     InstanceFile: ((R, "R", {"a": J}, {"M": M}, {"M": "0"}, {"s": (X,)}, []), False),
     CyclicModule: ((R, J), True),
     RegularSequenceWitness: (((X**2, Y),), True),
-    LinkageInstance: ((R, M, J, J, W, None, "line 1"), True),
+    LinkageInstance: ((R, M, J, J, W, J), True),
     AssociatedPrimes: ((frozenset({frozenset({0})}), frozenset({frozenset({0})})), True),
     FreeResolution: ((R, (1, 1), (((X,),),)), True),
 }
@@ -42,7 +42,7 @@ FIELDS = {
     InstanceFile: ("ring", "ring_name", "ideals", "modules", "module_defs", "regseqs", "directives"),
     CyclicModule: ("ring", "defining_ideal"),
     RegularSequenceWitness: ("elements",),
-    LinkageInstance: ("ring", "module", "a", "I", "witness", "b", "name"),
+    LinkageInstance: ("ring", "module", "a", "I", "witness", "b"),
     AssociatedPrimes: ("all_primes", "minimal"),
     FreeResolution: ("ring", "ranks", "diffs"),
 }
@@ -91,7 +91,7 @@ class _Pair(Record):
 def test_equality_is_by_class_and_value():
     assert RegularSequenceWitness((X, Y)) == RegularSequenceWitness((X, Y))
     assert RegularSequenceWitness((X, Y)) != RegularSequenceWitness((Y, X))
-    assert LinkageInstance(R, M, J, J, W, None, "a") != LinkageInstance(R, M, J, J, W, None, "b")
+    assert LinkageInstance(R, M, J, J, W) != LinkageInstance(R, M, J, J, W, J)
     assert AssociatedPrimes(frozenset(), frozenset()) != _Pair(frozenset(), frozenset())
     assert RegularSequenceWitness((X,)) != (X,)
     assert CyclicModule(R, J) != CyclicModule(R, Ideal(R, (X * Y,)))  # ideals compare by identity
@@ -99,7 +99,7 @@ def test_equality_is_by_class_and_value():
 
 def test_defaults_and_derived_fields():
     inst = LinkageInstance(ring=R, module=M, a=J, I=J, witness=W)
-    assert inst.b is None and inst.name == ""
+    assert inst.b is None
     assert W.length == 2
     assert FreeResolution(R, (1, 1), (((X,),),)).length == 1
     assert AssociatedPrimes(frozenset({1}), frozenset({1})).is_unmixed()

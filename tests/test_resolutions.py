@@ -69,31 +69,78 @@ def test_minimal_requires_homogeneous(r2):
     assert res.ranks == (1, 1)
 
 
-def test_resolution_is_exact_by_the_syzygy_oracle(flagship):
+def _form(rng, ring, degree):
+    """A nonzero form of the given degree with up to three terms and
+    coefficients in [-3, 3]."""
+    while True:
+        items = []
+        for _ in range(rng.randint(1, 3)):
+            exps = [0] * ring.nvars
+            for _ in range(degree):
+                exps[rng.randrange(ring.nvars)] += 1
+            items.append((tuple(exps), ring.field.of(rng.choice((-3, -2, -1, 1, 2, 3)))))
+        f = ring.poly(items)
+        if not f.is_zero():
+            return f
+
+
+def _pivoting_ideals():
+    """Seeded ideals whose syzygies carry unit entries, over QQ and GF(7) in
+    grevlex and lex: a redundant generator g1 + h*g2 of homogeneous data, and
+    non-homogeneous generators such as x^2 - y."""
+    rng = seeded(107)
+    out = []
+    for field in (QQ, GF(7)):
+        for order in ("grevlex", "lex"):
+            ring = PolyRing(field, ["x", "y", "z"], order)
+            x, y, z = ring.gens()
+            for _ in range(3):
+                g1, g2, h = _form(rng, ring, 2), _form(rng, ring, 1), _form(rng, ring, 1)
+                out.append(Ideal(ring, (g1, g2, g1 + h * g2, _form(rng, ring, 2))))
+            out.append(Ideal(ring, (x**2 - y, x * y - z, _form(rng, ring, 2))))
+            out.append(Ideal(ring, (x**2 - y, y**2 - z, x * z)))
+    return [I for I in out if not I.is_unit()]
+
+
+@pytest.fixture(scope="module")
+def pivoting(flagship):
     r4 = PolyRing(QQ, ["x", "y", "z", "w"])
     x, y, z, w = r4.gens()
     gf = PolyRing(GF(7), ["x", "y", "z"], "lex")
     u, v, t = gf.gens()
-    ideals = [
+    return [
         flagship,
         Ideal(r4, (x * y - z, z * w - x, y**2 - w)),
         Ideal(gf, (u**2 - v, v * t - u, t**2 + gf.constant(3) * u)),
-    ]
-    for I in ideals:
+    ] + _pivoting_ideals()
+
+
+def test_resolution_is_exact_by_the_syzygy_oracle(pivoting):
+    for I in pivoting:
         diffs = free_resolution(I).diffs
+        # the kept generators still generate a
+        assert Ideal(I.ring, [col[0] for col in diffs[0]]).groebner() == I.groebner()
         # im d_{i+1} = ker d_i, and d_last is injective
         for prev, cols in zip(diffs, diffs[1:]):
             kernel = module_groebner_basis(syzygy_oracle(prev))
-            assert module_groebner_basis(cols) == kernel
-        assert syzygy_oracle(diffs[-1]) == []
+            assert module_groebner_basis(cols) == kernel, I
+        assert syzygy_oracle(diffs[-1]) == [], I
 
 
-def test_minimal_has_no_constant_entries(flagship):
-    res = free_resolution(flagship)
-    for cols in res.diffs:
-        for col in cols:
-            for entry in col:
-                assert entry.is_zero() or not entry.is_constant()
+def test_minimal_has_no_constant_entries(pivoting):
+    pruned = 0
+    for I in pivoting:
+        res = free_resolution(I)
+        for cols in res.diffs:
+            for col in cols:
+                for entry in col:
+                    assert entry.is_zero() or not entry.is_constant(), I
+        distinct = set(g for g in I.gens if not g.is_zero())
+        pruned += res.ranks[1] < len(distinct)
+        if all(g.is_homogeneous() for g in I.gens):
+            # minimal, so the ranks are invariants of R/a
+            assert res.ranks == free_resolution(Ideal(I.ring, I.groebner())).ranks, I
+    assert pruned  # the set does pivot
 
 
 def test_pd_examples(r2, flagship):
