@@ -9,10 +9,15 @@ total degree with ties broken by pair index; the coprime-lcm (product)
 criterion applies in rank one when no shadows are tracked and the chain
 criterion to same-position pairs in every rank, so bases come out
 deterministic for a fixed ring and order.  Syzygies are read off the pair
-loop: the shadows of the pairs it reduces to zero.  A reduced basis is
-memoized for one run (limits.run_context) on the ring and set of nonzero
-generators, and kept on the Ideal value that asked for it.  Single-term
-generators skip the pair loop: their minimal exponents are the reduced basis.
+loop: the shadows of the pairs it reduces to zero.  For syzygies relative
+to ideals, the ideals' reduced bases enter first as known rows with zero
+shadows, and only the rows asked about carry shadows: the loop forms no
+pair of two known rows, since such a pair reduces to zero by the known rows
+alone and leaves a syzygy that vanishes on the rows asked about.  A reduced
+basis is memoized for one run (limits.run_context) on the ring and set of
+nonzero generators, and kept on the Ideal value that asked for it.
+Single-term generators skip the pair loop: their minimal exponents are the
+reduced basis.
 """
 
 from bisect import insort
@@ -193,7 +198,7 @@ def _reduce_pair(ring, G, X, i, j):
     return rem, comp
 
 
-def buchberger(ring, rows, shadows=None):
+def buchberger(ring, rows, shadows=None, known=0):
     """A (not yet reduced) Groebner basis, as monic rows, of the submodule
     generated by rows: nonzero rows of one ring and rank.
 
@@ -203,8 +208,10 @@ def buchberger(ring, rows, shadows=None):
     shadows, those combinations are syzygies of the inputs, and by Schreyer's
     theorem the pairs the loop reduces yield a generating set; the product
     criterion would drop the Koszul syzygies, so it applies only without
-    shadows.  Returns (basis, the nonzero syzygies), the latter None without
-    shadows.
+    shadows.  The first known rows must be a Groebner basis of what they
+    generate, with zero shadows: no pair of two of them is formed, since such
+    a pair reduces to zero by them alone and so leaves a zero syzygy.
+    Returns (basis, the nonzero syzygies), the latter None without shadows.
     """
     rank = len(rows[0])
     field = ring.field
@@ -221,7 +228,7 @@ def buchberger(ring, rows, shadows=None):
         _check_coeff_bits((row,) if X is None else (row, shadow))
         new = len(G)
         for k, (kpos, klm) in enumerate(leads):
-            if kpos == pos:
+            if kpos == pos and new >= known:
                 lcm = exp_lcm(klm, lm)
                 insort(queue, (sum(lcm), k, new, lcm))
                 pending.add((k, new))
@@ -388,15 +395,12 @@ def unit_vector(ring, rank, pos, poly=None):
 
 
 def ideal_rows(ring, ideals):
-    """The rows g*e_j of R^len(ideals), for each position j and each nonzero
-    generator g of ideals[j]: generators of ideals[0]*e_0 + ... ."""
+    """The rows g*e_j of R^len(ideals), for each position j and each g in the
+    reduced basis of ideals[j]: a Groebner basis of ideals[0]*e_0 + ... ."""
+    if any(I.ring != ring for I in ideals):
+        raise RingMismatchError("ideal from a different ring")
     rank = len(ideals)
-    return [
-        unit_vector(ring, rank, j, g)
-        for j, I in enumerate(ideals)
-        for g in I.gens
-        if not g.is_zero()
-    ]
+    return [unit_vector(ring, rank, j, g) for j, I in enumerate(ideals) for g in I.groebner()]
 
 
 def _rows(rows):
@@ -430,17 +434,27 @@ def module_groebner_basis(gens):
     return _reduce(ring, G)
 
 
-def syzygy_module(gens):
-    """Generators, as rows, of the full syzygy module of the rows gens: the
-    unit row of every zero generator and the syzygies that Buchberger, run
-    with the unit rows as shadows, reads off its zero reductions."""
-    ring, rows = _rows(gens)
+def syzygy_module(rows, ideals=()):
+    """Generators, as rows, of {c : sum c_r*rows_r in I_1*e_1 + ... + I_s*e_s}
+    for the ideals (I_1, ..., I_s), s the rank of the rows; with no ideals,
+    the full syzygy module of the rows.  They are the unit row of every zero
+    row and the syzygies that Buchberger reads off its zero reductions, run
+    on the known rows g*e_j (g in the reduced basis of I_j) with zero shadows
+    and then the nonzero rows with the unit rows as shadows.  Only the rows
+    asked about carry shadows, and the loop skips every pair of two known
+    rows; that is sound because the known rows come from reduced bases,
+    which form a Groebner basis of I_1*e_1 + ... + I_s*e_s.  From mere
+    generators of the I_j the skipped pairs would lose syzygies."""
+    ring, rows = _rows(rows)
     units = [unit_vector(ring, len(rows), idx) for idx in range(len(rows))]
     syzygies = [units[idx] for idx, row in enumerate(rows) if _lead(row) is None]
     nonzero = [idx for idx, row in enumerate(rows) if _lead(row) is not None]
     if nonzero:
-        _, found = buchberger(
-            ring, [rows[i] for i in nonzero], [units[i] for i in nonzero]
-        )
+        if ideals and len(ideals) != len(rows[0]):
+            raise ValueError("rank mismatch between rows and ideals")
+        known = ideal_rows(ring, ideals)
+        inputs = known + [rows[i] for i in nonzero]
+        shadows = [(ring.zero,) * len(rows)] * len(known) + [units[i] for i in nonzero]
+        _, found = buchberger(ring, inputs, shadows, known=len(known))
         syzygies.extend(found)
     return syzygies

@@ -8,8 +8,9 @@ each term of f is divisible by the support of a generator.  Otherwise one
 syzygy computation answers both intersection and quotient (Greuel & Pfister,
 A Singular Introduction to Commutative Algebra, sec. 1.8): I cap J is
 (I*e1 + J*e2) : (1, 1) and I : (g1, ..., gl) is (I*e1 + ... + I*el) :
-(g1, ..., gl), the first coordinates of the syzygies of the row and the
-generators.  f lies in sqrt(I) when I : f^infinity is the unit ideal.  Both
+(g1, ..., gl), the syzygies of the one row relative to the ideals, whose
+reduced bases enter Buchberger as known rows whose pairs it skips.  f lies
+in sqrt(I) when I : f^infinity is the unit ideal.  Both
 intersection and quotient return reduced bases in the ring's order, so
 within one run they are memoized on the ring and the sets of nonzero
 generators, on whose ideals alone their results depend.
@@ -19,7 +20,6 @@ from .errors import RingMismatchError
 from .groebner import (
     Ideal,
     exp_divides,
-    ideal_rows,
     intersect_exponents,
     reduced_groebner_basis,
     single_term_exponents,
@@ -46,9 +46,10 @@ def ideal_contains(I, J):
 
 
 def _colon(ring, v, ideals):
-    """(I1*e1 + ... + Ir*er) :_R v for a row v of R^r: the first coordinates
-    of the syzygies of v and the rows g*ej, g a generator of Ij."""
-    firsts = [s[0] for s in syzygy_module([tuple(v)] + ideal_rows(ring, ideals))]
+    """(I1*e1 + ... + Ir*er) :_R v for a row v of R^r: the syzygies of the
+    one row v relative to the ideals, read off with the reduced bases of the
+    Ij as known rows whose pairs Buchberger skips."""
+    firsts = [s[0] for s in syzygy_module([tuple(v)], ideals)]
     return Ideal(ring, reduced_groebner_basis(firsts))
 
 

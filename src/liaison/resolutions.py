@@ -120,9 +120,7 @@ def _relative_kernel(res, i, J):
         return [unit_vector(ring, b_i, pos) for pos in range(b_i)]
     b_next = res.ranks[i + 1]
     columns = [_transpose_column(res, i + 1, r) for r in range(b_i)]
-    tagged = columns + ideal_rows(ring, [J] * b_next)
-    heads = (syz[:b_i] for syz in syzygy_module(tagged))
-    return [head for head in heads if any(head)]
+    return syzygy_module(columns, [J] * b_next)
 
 
 def _image_basis(res, i, J):

@@ -1,15 +1,20 @@
 """Differential and property tests for the row engine in groebner.py: reduced
-bases against sympy, module bases under shuffled generators, and syzygies of
-rank-1 and rank-2 rows against an elimination oracle."""
+bases against sympy, module bases under shuffled generators, syzygies of
+rank-1 and rank-2 rows against an elimination oracle, and syzygies relative
+to ideals against the full syzygies of the rows and the ideals' generators."""
+
+from itertools import product
 
 import pytest
 
 from conftest import from_sympy, random_polynomial, seeded, syzygy_oracle, to_sympy
 from liaison.fields import GF, QQ
 from liaison.groebner import (
+    Ideal,
     module_groebner_basis,
     reduced_groebner_basis,
     syzygy_module,
+    unit_vector,
 )
 from liaison.rings import PolyRing
 
@@ -110,3 +115,37 @@ def test_syzygies_generate_the_oracle_module(field, order, rank):
         ours = module_groebner_basis(syzygy_module(gens))
         assert ours == module_groebner_basis(syzygy_oracle(gens)), gens
 
+
+
+def _cut_full_syzygies(rows, ideals):
+    """The syzygies relative to ideals the long way: all syzygies of the rows
+    and the rows g*e_j, g a generator (not a basis element) of ideals[j], cut
+    to their first len(rows) coordinates."""
+    ring, rank = rows[0][0].ring, len(ideals)
+    extra = [unit_vector(ring, rank, j, g) for j, I in enumerate(ideals) for g in I.gens]
+    return [syz[: len(rows)] for syz in syzygy_module(rows + extra)]
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("field,order", FIELDS_AND_ORDERS)
+def test_relative_syzygies_match_the_cut_full_syzygies(field, order, rank):
+    ring = PolyRing(field, ["x", "y"], order)
+    x, y = ring.gens()
+    rng = seeded(67 + rank)
+    proper = Ideal(ring, [_nonconstant_polynomial(rng, ring) for _ in range(2)])
+    not_a_basis = Ideal(ring, (x**2 - y, x * y))
+    unit = Ideal(ring, (x + ring.one, x))
+    zero = Ideal(ring, ())
+    # a reduced basis longer than the generators: they are no Groebner basis
+    assert len(not_a_basis.groebner()) > len(not_a_basis.gens)
+    assert unit.is_unit()
+    for case, ideals in enumerate(product([proper, not_a_basis, unit, zero], repeat=rank)):
+        rows = [_random_vector(rng, ring, rank) for _ in range(2)]
+        if case % 2:
+            rows.insert(1, (ring.zero,) * rank)
+        ours = syzygy_module(rows, ideals)
+        assert all(len(syz) == len(rows) for syz in ours)
+        if all(I is zero for I in ideals):
+            assert ours == syzygy_module(rows)
+        expected = module_groebner_basis(_cut_full_syzygies(rows, ideals))
+        assert module_groebner_basis(ours) == expected, (rows, ideals)

@@ -134,6 +134,17 @@ def test_syzygy_of_zero_generator(r2):
     assert unit_vector(r2, 2, 0) in syz
 
 
+def test_relative_syzygies_reject_other_rings_and_ranks(r2):
+    x, y = r2.gens()
+    I = Ideal(r2, (x,))
+    assert module_groebner_basis(syzygy_module([(y,)], (I,))) == [(x,)]
+    other = Ideal(PolyRing(GF(7), ["x", "y"]), ())
+    with pytest.raises(RingMismatchError):
+        syzygy_module([(y,)], (other,))
+    with pytest.raises(ValueError):
+        syzygy_module([(y,)], (I, I))
+
+
 def test_coefficient_growth_trips_the_cap():
     """Without a bound on coefficient size this module basis runs on and on:
     its new rows keep a few dozen terms and a low degree while their

@@ -1,14 +1,19 @@
 """The general routes of ideal_ops against sympy on non-monomial ideals:
-intersection and quotient share one syzygy computation, and radical
-membership iterates the quotient, so the oracle here is elimination and the
-inverted-element trick, with sympy's Groebner bases."""
+intersection and quotient share one syzygy computation, and saturation and
+radical membership iterate the quotient, so the oracle here is elimination
+and the inverted-element trick, with sympy's Groebner bases."""
 
 import pytest
 
 from conftest import from_sympy, seeded, to_sympy
 from liaison.fields import GF, QQ
 from liaison.groebner import Ideal
-from liaison.ideal_ops import ideal_quotient, intersect_ideals, radical_membership
+from liaison.ideal_ops import (
+    ideal_quotient,
+    intersect_ideals,
+    radical_membership,
+    saturate,
+)
 from liaison.rings import PolyRing
 
 FIELDS_AND_ORDERS = [(QQ, "lex"), (QQ, "grevlex"), (GF(7), "lex"), (GF(7), "grevlex")]
@@ -48,6 +53,12 @@ class Oracle:
             assert r == 0
             out.append(q)
         return out
+
+    def saturate(self, A, f):
+        """A : f^infinity: the t-free part of the lex basis of A + (1 - t*f)."""
+        gens = A + [1 - self.t * f]
+        gb = self.sympy.groebner(gens, self.t, *self.symbols, order="lex", **self.options)
+        return [p for p in gb.exprs if not p.has(self.t)]
 
     def radical_member(self, f, A):
         """f in sqrt(A): 1 lies in A + (1 - t*f)."""
@@ -128,3 +139,19 @@ def test_radical_membership_matches_inversion(field, order):
             assert radical_membership(f, I) == expected, (f, I)
             outcomes.add(expected)
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("field,order", FIELDS_AND_ORDERS)
+def test_saturation_matches_elimination(field, order):
+    ring, oracle = _setup(field, order)
+    rng = seeded(109)
+    proper_and_larger = 0
+    for _ in range(5):
+        f, g, h = _binomial(rng, ring), _polynomial(rng, ring), _binomial(rng, ring)
+        # f*g and f^2*h lie in I, so g and h lie in I : f^infinity
+        I = Ideal(ring, (f * g, f * f * h))
+        ours = saturate(I, Ideal(ring, (f,)))
+        expected = oracle.saturate(oracle.exprs(I.gens), oracle.exprs([f])[0])
+        assert set(ours.gens) == oracle.basis(expected), (I, f)
+        proper_and_larger += not ours.is_unit() and ours.groebner() != I.groebner()
+    assert proper_and_larger
