@@ -80,11 +80,8 @@ class Verdict(Record):
 
 
 class Inapplicable(Exception):
-    """Raised inside a check when one of its hypotheses is violated."""
-
-    def __init__(self, hypothesis):
-        super().__init__(hypothesis)
-        self.hypothesis = hypothesis
+    """Raised inside a check when one of its hypotheses, named by the
+    message, is violated."""
 
 
 class _Details(dict):
@@ -435,13 +432,13 @@ def _radical_monomial_ideals_containing(a):
     return ideals
 
 
-def check_aprime(inst, alternate=None):
+def check_aprime(inst):
     """The smallest-radical-fixed-ideal construction: containment, double-colon
     fixedness, radicality, independence of the linking ideal (against
-    alternate, an (ideal, witness) pair, recorded as skipped when the
-    alternate is outside the hypotheses of _aprime or its witness is
-    invalid), brute-force minimality in small rings, and the radical
-    identity on linked radical instances.
+    inst.alternate, an (ideal, witness) pair, when the file names alt_I;
+    recorded as skipped when the alternate is outside the hypotheses of
+    _aprime or its witness is invalid), brute-force minimality in small
+    rings, and the radical identity on linked radical instances.
 
     Minimality, in rings of at most 4 variables and for squarefree monomial
     J = Ann M (M = R included; recorded as skipped otherwise): every
@@ -471,8 +468,8 @@ def check_aprime(inst, alternate=None):
     d.clause("s_membership", s_membership(ap, inst.I, M, inst.witness))
     d.clause("radical", ideal_equal(ap, monomial_radical(ap)))
 
-    if alternate is not None:
-        alt_I, alt_witness = alternate
+    if inst.alternate is not None:
+        alt_I, alt_witness = inst.alternate
         try:
             _require_monomial(M.plus_ann(alt_I))
             d.clause("alternate_I_same_aprime", ideal_equal(_aprime(inst, alt_I, alt_witness), ap))
@@ -500,7 +497,7 @@ def check_aprime(inst, alternate=None):
             d["brute_force_minimality"] = "skipped (Ann M is not a squarefree monomial ideal)"
 
     aJ = M.plus_ann(inst.a)
-    if b is not None and is_monomial_ideal(aJ) and ideal_equal(aJ, monomial_radical(aJ)):
+    if b is not None and _squarefree_monomial(aJ):
         d.clause("sqrt_a_equals_aprime", ideal_equal(aJ, apJ))
     return d.ok, d, {"aprime": gens_str(ap), "b": b and gens_str(b)}
 
@@ -649,63 +646,49 @@ CHECK_RUNNERS = {
 }
 
 
-def _describe_inputs(args):
-    """Re-run data for a failing verdict: the concrete instance, rendered."""
-    out = {}
-    for arg in args:
-        if hasattr(arg, "witness") and hasattr(arg, "a"):  # LinkageInstance
-            out["instance"] = {
-                "a": gens_str(arg.a),
-                "b": None if arg.b is None else gens_str(arg.b),
-                "I": gens_str(arg.I),
-                "J": gens_str(arg.module.defining_ideal),
-                "sequence": [repr(p) for p in arg.witness.elements],
-            }
-        elif hasattr(arg, "vars"):  # PolyRing
-            out["ring"] = repr(arg)
-    return out or None
+def _describe_inputs(check_id, subject):
+    """Re-run data for a failing verdict: the ring of a global check, else
+    the concrete instance, rendered."""
+    if check_id in GLOBAL_CHECKS:
+        return {"ring": repr(subject)}
+    return {
+        "instance": {
+            "a": gens_str(subject.a),
+            "b": subject.b and gens_str(subject.b),
+            "I": gens_str(subject.I),
+            "J": gens_str(subject.module.defining_ideal),
+            "sequence": [repr(p) for p in subject.witness.elements],
+        }
+    }
 
 
-def run_check(check_id, *args, **kwargs):
-    """Run one check and wrap the outcome in a Verdict."""
-    runner = CHECK_RUNNERS[check_id]
+def run_check(check_id, *args):
+    """Run one check and wrap the outcome in a Verdict: args are (inst,) for
+    a pair check and (ring, corpus) for one of GLOBAL_CHECKS."""
     start = time.perf_counter()
+    witness = None
     try:
-        ok, details, witness = runner(*args, **kwargs)
+        ok, details, found = CHECK_RUNNERS[check_id](*args)
         status = HOLDS if ok else FAILS
-        if status == HOLDS:
-            witness = None
-        else:
-            witness = {**(_describe_inputs(args) or {}), **(witness or {})}
-    except Inapplicable as exc:
-        status = INAPPLICABLE
-        details = {"hypothesis": exc.hypothesis}
-        witness = None
-    except WitnessError as exc:
-        status = INAPPLICABLE
-        details = {"hypothesis": str(exc)}
-        witness = None
+        if not ok:
+            witness = {**_describe_inputs(check_id, args[0]), **(found or {})}
+    except (Inapplicable, WitnessError) as exc:
+        status, details = INAPPLICABLE, {"hypothesis": str(exc)}
     except ResourceLimitError as exc:
-        status = FAILS
-        details = {"reason": "resource limit exceeded"}
+        status, details = FAILS, {"reason": "resource limit exceeded"}
         witness = {"error": str(exc)}
     millis = (time.perf_counter() - start) * 1000.0
     return Verdict(check=check_id, status=status, details=details, witness=witness, millis=millis)
 
 
 def run_suite(parsed):
-    """Run every check directive of a parsed instance file, in file order,
-    in one run (limits.run_context) under the enclosing run's caps."""
-    tasks = []
+    """Run every directive of a parsed file in file order, in one run under
+    the enclosing run's caps: a pair check on directive.instance, one of
+    GLOBAL_CHECKS on (ring, corpus) with corpus = parsed.instances()."""
     corpus = parsed.instances()
-    for directive in parsed.directives:
-        if directive.check in GLOBAL_CHECKS:
-            tasks.append((directive.check, (parsed.ring, corpus), {}))
-        else:
-            inst = parsed.instance_for(directive)
-            kwargs = {}
-            if directive.check is CheckId.APRIME_T7:
-                kwargs = {"alternate": parsed.alternate_for(directive)}
-            tasks.append((directive.check, (inst,), kwargs))
     with limits.run_context():
-        return [run_check(cid, *args, **kw) for cid, args, kw in tasks]
+        return [
+            run_check(d.check, parsed.ring, corpus) if d.instance is None
+            else run_check(d.check, d.instance)
+            for d in parsed.directives
+        ]

@@ -11,7 +11,9 @@ Grammar (semicolon-terminated statements, '#' comments, one ring per file):
 Check arguments: a, b, I (ideals), M (module), seq, alt_seq (regseqs),
 alt_I (ideal).  `seq` is omitted exactly when I is the zero ideal, and
 `alt_seq` exactly when alt_I is.  The global checks (C11_GLOBAL, T1_GLOBAL,
-C1_WITNESS) take no arguments.
+C1_WITNESS) take no arguments.  A pair check's arguments resolve to one
+LinkageInstance when the check is parsed, with the empty witness for a zero
+I and (alt_I, its witness) as the alternate.
 
 `ideal Z = 0;` is the zero ideal, while `regseq s = 0;` is the one-element
 sequence of the zero polynomial, which no check accepts as a witness.
@@ -52,7 +54,11 @@ PROFILES = ("self-links", "geometric-links", "monomial-ci")
 
 
 class CheckDirective(Record):
-    def __init__(self, check, args, line):
+    """One `check` statement: its CheckId, its arguments (argument name to
+    declared name) and the LinkageInstance they resolve to, None for a
+    global check, which runs on (ring, corpus) instead."""
+
+    def __init__(self, check, args, instance):
         self._set(locals())
 
 
@@ -63,42 +69,14 @@ class InstanceFile(Record):
     def __init__(self, ring, ring_name, ideals, modules, module_defs, regseqs, directives):
         self._set(locals())
 
-    # -- directive resolution ------------------------------------------------
-
-    def _witness_for(self, directive, seq_key):
-        """The named sequence, or the empty witness of a zero linking ideal
-        (parse_instance demands a sequence for a nonzero one)."""
-        seq_name = directive.args.get(seq_key)
-        return EMPTY_WITNESS if seq_name is None else RegularSequenceWitness(self.regseqs[seq_name])
-
-    def instance_for(self, directive):
-        args = directive.args
-        return LinkageInstance(
-            ring=self.ring,
-            module=self.modules[args["M"]],
-            a=self.ideals[args["a"]],
-            I=self.ideals[args["I"]],
-            witness=self._witness_for(directive, "seq"),
-            b=self.ideals[args["b"]] if "b" in args else None,
-        )
-
-    def alternate_for(self, directive):
-        if "alt_I" not in directive.args:
-            return None
-        return self.ideals[directive.args["alt_I"]], self._witness_for(directive, "alt_seq")
-
     def instances(self):
-        out = []
-        seen = set()
+        """The pair checks' instances, one per distinct argument list, in
+        file order: the corpus of the global checks."""
+        unique = {}
         for d in self.directives:
-            if d.check in GLOBAL_CHECKS:
-                continue
-            key = tuple(sorted(d.args.items()))
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(self.instance_for(d))
-        return out
+            if d.instance is not None:
+                unique.setdefault(tuple(sorted(d.args.items())), d.instance)
+        return list(unique.values())
 
 
 def _comma_list(ts, parse_item, *args):
@@ -180,7 +158,7 @@ def parse_instance(text):
         elif ring is None:
             raise ParseError("no ring in scope", head.line, head.col)
         elif head.value == "check":
-            directives.append(_parse_check(ts, head, names))
+            directives.append(_parse_check(ts, ring, names))
         else:
             _parse_declaration(ts, head.value, ring, names, module_defs)
     if ring is None:
@@ -232,9 +210,10 @@ def _parse_declaration(ts, kind, ring, names, module_defs):
     names[kind][name.value] = value
 
 
-def _parse_check(ts, head, names):
+def _parse_check(ts, ring, names):
     """`CHECKID ( arguments ) ;` after the keyword; the arguments a check
-    needs are asked for once its `;` is read."""
+    needs are asked for, and a pair check's instance built, once its `;` is
+    read."""
     id_tok = ts.expect_ident("check id")
     try:
         check_id = CheckId(id_tok.value)
@@ -246,20 +225,42 @@ def _parse_check(ts, head, names):
         _comma_list(ts, _parse_argument, names, args)
     ts.expect_sym(")")
     ts.expect_sym(";")
-    required = () if check_id in GLOBAL_CHECKS else ("a", "I", "M")
-    if args and not required:
-        raise ParseError(f"check {check_id.value} takes no arguments", id_tok.line, id_tok.col)
-    for key in required:
+    if check_id in GLOBAL_CHECKS:
+        if args:
+            raise ParseError(f"check {check_id.value} takes no arguments", id_tok.line, id_tok.col)
+        return CheckDirective(check_id, args, None)
+    for key in ("a", "I", "M"):
         if key not in args:
             raise ParseError(
                 f"check {check_id.value} needs argument {key!r}", id_tok.line, id_tok.col
             )
-    for ideal_key, seq_key in (("I", "seq"), ("alt_I", "alt_seq")):
-        if ideal_key in args and seq_key not in args and names["ideal"][args[ideal_key]].gens:
-            raise ParseError(
-                f"check needs {seq_key}= for a nonzero linking ideal", id_tok.line, id_tok.col
-            )
-    return CheckDirective(check_id, args, head.line)
+    I, witness = _linking_ideal(names, args, "I", "seq", id_tok)
+    instance = LinkageInstance(
+        ring=ring,
+        module=names["module"][args["M"]],
+        a=names["ideal"][args["a"]],
+        I=I,
+        witness=witness,
+        b=names["ideal"][args["b"]] if "b" in args else None,
+        alternate=_linking_ideal(names, args, "alt_I", "alt_seq", id_tok),
+    )
+    return CheckDirective(check_id, args, instance)
+
+
+def _linking_ideal(names, args, ideal_key, seq_key, id_tok):
+    """The ideal named by ideal_key and its witness (the sequence named by
+    seq_key, or the empty witness of a zero ideal); None when ideal_key is
+    not given."""
+    if ideal_key not in args:
+        return None
+    I = names["ideal"][args[ideal_key]]
+    if seq_key in args:
+        return I, RegularSequenceWitness(names["regseq"][args[seq_key]])
+    if I.gens:
+        raise ParseError(
+            f"check needs {seq_key}= for a nonzero linking ideal", id_tok.line, id_tok.col
+        )
+    return I, EMPTY_WITNESS
 
 
 def _parse_argument(ts, names, args):

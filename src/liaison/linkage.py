@@ -226,9 +226,10 @@ def cd_oracle(a, M):
 
 class LinkageInstance(Record):
     """One concrete linkage situation: a (and optionally b) against I over M,
-    with the regular-sequence witness for I."""
+    with the regular-sequence witness for I; alternate, an (ideal, witness)
+    pair or None, is a second linking ideal that only APRIME_T7 reads."""
 
-    def __init__(self, ring, module, a, I, witness, b=None):
+    def __init__(self, ring, module, a, I, witness, b=None, alternate=None):
         self._set(locals())
 
     def partner(self):

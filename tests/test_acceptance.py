@@ -21,6 +21,7 @@ from liaison.groebner import Ideal, ideal_membership, ideal_sum, reduced_groebne
 from liaison.ideal_ops import ideal_equal, intersect_ideals, radicals_equal
 from liaison.instancefile import parse_instance
 from liaison.linkage import (
+    LinkageInstance,
     RegularSequenceWitness,
     aprime_construct,
     candidate_link,
@@ -266,7 +267,7 @@ def test_criterion_8_aprime(r4, full_corpus):
     same = ideal_equal(ap1, ap2)
     member = s_membership(ap1, I1, M, w1)
 
-    verdict = run_check(CheckId.APRIME_T7, _flagship_instance(r4), alternate=(I2, w2))
+    verdict = run_check(CheckId.APRIME_T7, LinkageInstance(r4, M, a, I1, w1, alternate=(I2, w2)))
     brute = verdict.status == "holds" and verdict.details["brute_force_minimality"]
 
     radical_ok = True
@@ -290,19 +291,6 @@ def test_criterion_8_aprime(r4, full_corpus):
         "a' independent of the sequence, double-colon fixed, brute-force "
         "minimal (4 vars), and sqrt(a) = a' on linked radical instances",
         same and member and brute and radical_ok,
-    )
-
-
-def _flagship_instance(r4):
-    from liaison.linkage import LinkageInstance
-
-    x1, x2, x3, x4 = r4.gens()
-    return LinkageInstance(
-        ring=r4,
-        module=free_module(r4),
-        a=Ideal(r4, (x1 * x3, x1 * x4, x2 * x3, x2 * x4)),
-        I=Ideal(r4, (x1 * x3, x2 * x4)),
-        witness=RegularSequenceWitness((x1 * x3, x2 * x4)),
     )
 
 

@@ -258,11 +258,7 @@ def test_support_filter_keeps_exactly_the_containing_candidates(ring, a):
 
 def _flagship_aprime(parsed):
     directive = next(d for d in parsed.directives if d.check is CheckId.APRIME_T7)
-    return run_check(
-        CheckId.APRIME_T7,
-        parsed.instance_for(directive),
-        alternate=parsed.alternate_for(directive),
-    )
+    return run_check(CheckId.APRIME_T7, directive.instance)
 
 
 def test_aprime_minimality_bites_on_a_wrong_aprime(monkeypatch, flagship_parsed):

@@ -9,7 +9,9 @@ seeds of their own also name a partner b and an APRIME_T7 alternate.  Each
 seed's reports are pinned by digest, since no benchmark workload reaches
 these inputs.  A random b is never linked to a, so files from further seeds
 declare a partner that is: b and a split the primes of a squarefree monomial
-complete intersection I.
+complete intersection I.  Such files from two more seeds also give APRIME_T7
+an alternate that its hypotheses admit, so that its comparison of a' over
+two linking ideals is reached.
 
 A `fails` whose reason is "resource limit exceeded" (exit 3) is a cap
 tripping, not a wrong verdict: it is counted apart from the wrong verdicts.
@@ -41,6 +43,10 @@ MIN_HOLDS_WITH_PARTNERS = 160
 # seeds of their own as well.
 LINKED_SEEDS = (4, 6)
 MIN_PAIR_HOLDS_WITH_LINKED_PARTNERS = 900
+# Linked files whose APRIME_T7 also names an alternate (see linked_instance),
+# and how many of each seed's files must compare a' against it.
+ALTERNATE_SEEDS = (8, 9)
+MIN_ALTERNATES_COMPARED = 90
 # sha256 of each seed's exit codes and millis-free reports (see
 # outcomes_digest): the reports must stay byte-identical on M = R/J, GF(p),
 # lex and invalid witnesses, which no benchmark workload reaches.
@@ -52,6 +58,8 @@ REPORT_DIGESTS = {
     2: "d1cb70a64151984decd6f0a6bfbdb2d71dbc74023ed886689d5bde8d586a98bc",
     4: "0bc893e775a2835946f6c6aefac133c53d55deea626d4fdcd9acc6c8664d318b",
     6: "d2fb2b2a02236512f03025abc260b92d6ee885bce015e16af776e303a5b5606f",
+    8: "f6237062fe09ecd569289ee4022767f019c6f82707230312af079f3df58528e8",
+    9: "6fa55fbdb3a180f30d31f5fd081c01a59dd24557d392b84ea5cb80730a697c36",
 }
 
 FIELDS = (("QQ", 0), ("FP(2)", 2), ("FP(3)", 3), ("FP(7)", 7))
@@ -179,7 +187,7 @@ def _monomial_ideal_text(supports):
     return ", ".join("*".join(f"x{i + 1}" for i in sorted(T)) for T in supports)
 
 
-def linked_instance(rng):
+def linked_instance(rng, alternate=False):
     """One file whose declared b is linked to a by I, built without liaison.
 
     I is generated by squarefree monomials on disjoint supports, so it is a
@@ -187,7 +195,10 @@ def linked_instance(rng):
     generator; a is the intersection of a random nonempty proper subset of
     those primes and b that of the rest, so I : a = b and I : b = a.  M is R
     or R/(x_k) for a variable x_k outside every support, on which I stays a
-    regular sequence."""
+    regular sequence.  With alternate, APRIME_T7 also names alt_I = K, I's
+    sequence with its first generator squared: inside a, of the same length,
+    still regular, and with the same associated primes as I.  The random
+    draws do not depend on alternate."""
     n = rng.randint(3, 6)
     field, _ = rng.choice(FIELDS)
     order = rng.choice(("lex", "grevlex"))
@@ -217,7 +228,15 @@ def linked_instance(rng):
     else:
         lines.append("module M = quotient 0;")
     lines.append(f"regseq s = {I_text};")
-    lines += [f"check {c}(a = a, b = b, I = I, M = M, seq = s);" for c in PAIR_CHECKS]
+    tail = ""
+    if alternate:
+        squared = "*".join(f"x{i + 1}^2" for i in sorted(blocks[0]))
+        K_text = ", ".join([squared] + I_text.split(", ")[1:])
+        lines += [f"ideal K = {K_text};", f"regseq t = {K_text};"]
+        tail = ", alt_I = K, alt_seq = t"
+    for c in PAIR_CHECKS:
+        alt = tail if c == CheckId.APRIME_T7.value else ""
+        lines.append(f"check {c}(a = a, b = b, I = I, M = M, seq = s{alt});")
     lines += [f"check {c}();" for c in GLOBAL]
     return "\n".join(lines) + "\n"
 
@@ -288,21 +307,21 @@ def test_random_files_with_partners_never_fail(seed, tmp_path, monkeypatch):
     assert outcomes_digest(outcomes, run) == REPORT_DIGESTS[seed]
 
 
-@pytest.mark.parametrize("seed", LINKED_SEEDS)
+@pytest.mark.parametrize("seed", LINKED_SEEDS + ALTERNATE_SEEDS)
 def test_random_files_with_linked_partners_never_fail(seed, tmp_path, monkeypatch):
     rng = random.Random(seed)
-    texts = [linked_instance(rng) for _ in range(FILES_PER_SEED)]
+    alternate = seed in ALTERNATE_SEEDS
+    texts = [linked_instance(rng, alternate) for _ in range(FILES_PER_SEED)]
     wrong, resource, slow, _, _, outcomes = run_files(texts, tmp_path)
     assert not wrong, wrong[0]
     assert not slow, max(slow)
-    pair_holds = sum(
-        v["status"] == "holds" and v["check"] in PAIR_CHECKS
-        for _, report in outcomes
-        if report
-        for v in report["verdicts"]
-    )
+    verdicts = [v for _, report in outcomes if report for v in report["verdicts"]]
+    pair_holds = sum(v["status"] == "holds" and v["check"] in PAIR_CHECKS for v in verdicts)
     assert pair_holds >= MIN_PAIR_HOLDS_WITH_LINKED_PARTNERS, (
         f"{len(resource)} files tripped a resource cap"
     )
+    # APRIME_T7 compares a' over the alternate only where one is named
+    compared = sum(isinstance(v["details"].get("alternate_I_same_aprime"), bool) for v in verdicts)
+    assert compared >= MIN_ALTERNATES_COMPARED if alternate else compared == 0
     run = load_perfbench("run", monkeypatch)
     assert outcomes_digest(outcomes, run) == REPORT_DIGESTS[seed]

@@ -5,9 +5,10 @@ import random
 import pytest
 
 from conftest import CORPUS_DIR
-from liaison.checks import CheckId
+from liaison.checks import GLOBAL_CHECKS, CheckId
 from liaison.errors import ParseError, ResourceLimitError
 from liaison.instancefile import instance_digest, parse_instance, print_instance
+from liaison.linkage import RegularSequenceWitness
 
 FLAGSHIP_MIN = """\
 ring R = QQ[x1, x2, x3, x4] grevlex;
@@ -102,7 +103,7 @@ def test_zero_ideal_literal_and_empty_witness():
     )
     parsed = parse_instance(text)
     assert parsed.ideals["Z"].gens == ()
-    inst = parsed.instance_for(parsed.directives[0])
+    inst = parsed.directives[0].instance
     assert inst.witness.length == 0
 
 
@@ -138,14 +139,25 @@ def test_comments_do_not_change_digest():
 def test_instances_deduplicated(corpus_files):
     parsed = parse_instance(corpus_files["flagship.link"])
     instances = parsed.instances()
+    by_check = {d.check: d for d in parsed.directives}
     # ten instance-level directives with three argument signatures: the
     # (a, b, I, M, seq) of eight checks, APRIME_T7's alternates, and S_REFLEX
-    # without b
+    # without b; each is the first such directive's own instance
+    firsts = [by_check[c].instance for c in (CheckId.L07, CheckId.APRIME_T7, CheckId.S_REFLEX)]
     assert len(instances) == 3
-    assert len(instances) < sum(
-        1 for d in parsed.directives if d.check.value not in
-        ("C11_GLOBAL", "T1_GLOBAL", "C1_WITNESS")
-    )
+    assert all(inst is first for inst, first in zip(instances, firsts))
+    assert len(instances) < sum(1 for d in parsed.directives if d.check not in GLOBAL_CHECKS)
+
+    aprime = by_check[CheckId.APRIME_T7].instance
+    assert aprime.alternate == (parsed.ideals["I2"], RegularSequenceWitness(parsed.regseqs["s2"]))
+    assert aprime.b is None
+    assert by_check[CheckId.L07].instance.b is parsed.ideals["b"]
+    assert by_check[CheckId.L07].instance.alternate is None
+    s_reflex = by_check[CheckId.S_REFLEX].instance
+    assert s_reflex.b is None
+    assert (s_reflex.a, s_reflex.I) == (parsed.ideals["a"], parsed.ideals["I"])
+    assert s_reflex.witness == RegularSequenceWitness(parsed.regseqs["s"])
+    assert all(by_check[c].instance is None for c in GLOBAL_CHECKS)
 
 
 RING = "ring R = QQ[x, y] grevlex;\n"

@@ -28,21 +28,21 @@ W = RegularSequenceWitness((X**2, Y))
 # class -> (field values in order, whether the record is hashable)
 RECORDS = {
     Verdict: ((CheckId.L07, "holds", {"k": 1}, None, 0.5), False),
-    CheckDirective: ((CheckId.T5_CD, {"a": "a", "M": "M"}, 3), False),
+    CheckDirective: ((CheckId.T5_CD, {"a": "a", "M": "M"}, None), False),
     InstanceFile: ((R, "R", {"a": J}, {"M": M}, {"M": "0"}, {"s": (X,)}, []), False),
     CyclicModule: ((R, J), True),
     RegularSequenceWitness: (((X**2, Y),), True),
-    LinkageInstance: ((R, M, J, J, W, J), True),
+    LinkageInstance: ((R, M, J, J, W, J, (J, W)), True),
     AssociatedPrimes: ((frozenset({frozenset({0})}), frozenset({frozenset({0})})), True),
     FreeResolution: ((R, (1, 1), (((X,),),)), True),
 }
 FIELDS = {
     Verdict: ("check", "status", "details", "witness", "millis"),
-    CheckDirective: ("check", "args", "line"),
+    CheckDirective: ("check", "args", "instance"),
     InstanceFile: ("ring", "ring_name", "ideals", "modules", "module_defs", "regseqs", "directives"),
     CyclicModule: ("ring", "defining_ideal"),
     RegularSequenceWitness: ("elements",),
-    LinkageInstance: ("ring", "module", "a", "I", "witness", "b"),
+    LinkageInstance: ("ring", "module", "a", "I", "witness", "b", "alternate"),
     AssociatedPrimes: ("all_primes", "minimal"),
     FreeResolution: ("ring", "ranks", "diffs"),
 }
@@ -99,7 +99,7 @@ def test_equality_is_by_class_and_value():
 
 def test_defaults_and_derived_fields():
     inst = LinkageInstance(ring=R, module=M, a=J, I=J, witness=W)
-    assert inst.b is None
+    assert inst.b is None and inst.alternate is None
     assert W.length == 2
     assert FreeResolution(R, (1, 1), (((X,),),)).length == 1
     assert AssociatedPrimes(frozenset({1}), frozenset({1})).is_unmixed()
