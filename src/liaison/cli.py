@@ -23,7 +23,7 @@ from .instancefile import (
 )
 from .linkage import CyclicModule, RegularSequenceWitness, aprime_construct, cd_oracle
 from .monomials import is_monomial_ideal
-from .parse import TokenStream, tokenize
+from .parse import parse_text
 from .resolutions import grade_via_ext, pd_via_resolution
 
 
@@ -95,12 +95,8 @@ def _write_output(text, out_path):
 
 
 def _cmd_run(args):
-    try:
-        with open(args.file) as handle:
-            text = handle.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with open(args.file) as handle:
+        text = handle.read()
     try:
         with limits.run_context(degree=args.degree_cap):
             parsed = parse_instance(text)
@@ -108,9 +104,6 @@ def _cmd_run(args):
     except ParseError as exc:
         print(f"error: {args.file}: {exc}", file=sys.stderr)
         return 2
-    except ResourceLimitError as exc:
-        print(f"error: resource limit: {exc}", file=sys.stderr)
-        return 3
     report = build_report(parsed, verdicts)
     if args.format == "json":
         _write_output(json.dumps(report, indent=2) + "\n", args.out)
@@ -119,21 +112,13 @@ def _cmd_run(args):
     return exit_code_for(verdicts)
 
 
-def _parse_arg(text, parser, *args):
-    """One whole command-line argument through an instance-file parser."""
-    ts = TokenStream(tokenize(text))
-    out = parser(ts, *args)
-    ts.expect_eof()
-    return out
-
-
 def _cmd_compute(args):
-    ring = _parse_arg(args.ring, parse_ring_spec, "grevlex")
-    ideal = Ideal(ring, tuple(_parse_arg(args.ideal, parse_poly_list, ring)))
+    ring = parse_text(args.ring, parse_ring_spec, "grevlex")
+    ideal = Ideal(ring, tuple(parse_text(args.ideal, parse_poly_list, ring)))
     by = None
     if args.by is not None:
-        by = Ideal(ring, tuple(_parse_arg(args.by, parse_poly_list, ring)))
-    module_gens = () if args.module is None else _parse_arg(args.module, parse_poly_list, ring)
+        by = Ideal(ring, tuple(parse_text(args.by, parse_poly_list, ring)))
+    module_gens = () if args.module is None else parse_text(args.module, parse_poly_list, ring)
     module = CyclicModule(ring, Ideal(ring, tuple(module_gens)))
 
     op = args.operation

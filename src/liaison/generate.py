@@ -1,8 +1,8 @@
 """Deterministic random instance files for the property suites.
 
 Randomness comes from one stdlib Mersenne-Twister stream seeded from the CLI
-flag, consumed only through randrange/sample in a fixed statement order, so a
-given (seed, profile, count, nvars) always produces byte-identical text.
+flag and drawn from in a fixed statement order, so a given (seed, profile,
+count, nvars) always produces byte-identical text.
 
 Profiles
 --------
@@ -60,24 +60,14 @@ def _ring(nvars):
 
 
 def _random_partition(rng, nvars, parts):
-    """Disjoint nonempty variable index blocks covering a random subset."""
+    """Disjoint blocks of one or two random variable indices; parts <= nvars // 2."""
     indices = list(range(nvars))
-    # Fisher-Yates driven by randrange keeps the stream reproducible
-    for i in range(len(indices) - 1, 0, -1):
-        j = rng.randrange(i + 1)
-        indices[i], indices[j] = indices[j], indices[i]
+    rng.shuffle(indices)
     blocks = []
-    pos = 0
-    remaining = parts
-    left = nvars
-    for k in range(parts):
-        max_take = left - (remaining - 1)
-        take = 1 + rng.randrange(max(1, min(2, max_take)))
-        take = min(take, max_take)
-        blocks.append(sorted(indices[pos : pos + take]))
-        pos += take
-        left -= take
-        remaining -= 1
+    for _ in range(parts):
+        take = 1 + rng.randrange(2)
+        blocks.append(sorted(indices[:take]))
+        del indices[:take]
     return blocks
 
 

@@ -10,10 +10,11 @@ Grammar (semicolon-terminated statements, '#' comments, one ring per file):
 
 Check arguments: a, b, I (ideals), M (module), seq, alt_seq (regseqs),
 alt_I (ideal).  `seq` is omitted exactly when I is the zero ideal, and
-`alt_seq` exactly when alt_I is.  The global checks (C11_GLOBAL, T1_GLOBAL,
-C1_WITNESS) take no arguments.  A pair check's arguments resolve to one
-LinkageInstance when the check is parsed, with the empty witness for a zero
-I and (alt_I, its witness) as the alternate.
+`alt_seq` exactly when alt_I is.  Only APRIME_T7 takes alt_I and alt_seq,
+its alternate, and the global checks (C11_GLOBAL, T1_GLOBAL, C1_WITNESS)
+take no arguments.  A pair check's arguments resolve to one LinkageInstance
+when the check is parsed, with the empty witness for a zero I and (alt_I,
+its witness) as the alternate.
 
 `ideal Z = 0;` is the zero ideal, while `regseq s = 0;` is the one-element
 sequence of the zero polynomial, which no check accepts as a witness.
@@ -66,7 +67,7 @@ class InstanceFile(Record):
     """A parsed file; module_defs maps each module name to the name of its
     ideal, or "0"."""
 
-    def __init__(self, ring, ring_name, ideals, modules, module_defs, regseqs, directives):
+    def __init__(self, ring, ring_name, ideals, module_defs, regseqs, directives):
         self._set(locals())
 
     def instances(self):
@@ -90,12 +91,12 @@ def _comma_list(ts, parse_item, *args):
 def parse_ring_spec(ts, default_order=None):
     """`(QQ | FP(prime)) [ var {, var} ] (lex | grevlex)`; the order may be
     left out only when a default is given."""
-    field_tok = ts.expect_ident("coefficient field")
+    field_tok = ts.expect("ident", "coefficient field")
     if field_tok.value == "QQ":
         field = QQ
     elif field_tok.value == "FP":
         ts.expect_sym("(")
-        p_tok = ts.expect_int("prime modulus")
+        p_tok = ts.expect("int", "prime modulus")
         try:
             field = GF(p_tok.value)
         except ValueError as exc:
@@ -108,13 +109,13 @@ def parse_ring_spec(ts, default_order=None):
             field_tok.col,
         )
     ts.expect_sym("[")
-    variables = [tok.value for tok in _comma_list(ts, TokenStream.expect_ident, "variable")]
+    variables = [tok.value for tok in _comma_list(ts, TokenStream.expect, "ident", "variable")]
     close = ts.expect_sym("]")
     if len(set(variables)) != len(variables):
         raise ParseError("duplicate variable", close.line, close.col)
     if default_order is not None and ts.peek().kind != "ident":
         return PolyRing(field, variables, default_order)
-    order_tok = ts.expect_ident("monomial order")
+    order_tok = ts.expect("ident", "monomial order")
     if order_tok.value not in ORDERS:
         raise ParseError(
             f"unknown order {order_tok.value!r}", order_tok.line, order_tok.col
@@ -125,13 +126,10 @@ def parse_ring_spec(ts, default_order=None):
 def parse_poly_list(ts, ring):
     """Comma-separated polynomials; a lone literal 0 (before ';' or the end of
     input) denotes the empty list."""
-    first = ts.peek()
-    if first.kind == "int" and first.value == 0:
-        probe = ts.pos
+    first, after = ts.peek(), ts.peek(1)
+    if first.kind == "int" and first.value == 0 and (after.kind == "eof" or after.value == ";"):
         ts.next()
-        if ts.at_sym(";") or ts.peek().kind == "eof":
-            return []
-        ts.pos = probe
+        return []
     return _comma_list(ts, parse_poly_tokens, ring)
 
 
@@ -145,11 +143,11 @@ def parse_instance(text):
     module_defs = {}
     directives = []
     while ts.peek().kind != "eof":
-        head = ts.expect_ident("statement keyword")
+        head = ts.expect("ident", "statement keyword")
         if head.value == "ring":
             if ring is not None:
                 raise ParseError("second ring declaration", head.line, head.col)
-            ring_name = ts.expect_ident("ring name").value
+            ring_name = ts.expect("ident", "ring name").value
             ts.expect_sym("=")
             ring = parse_ring_spec(ts)
             ts.expect_sym(";")
@@ -168,7 +166,6 @@ def parse_instance(text):
         ring=ring,
         ring_name=ring_name,
         ideals=names["ideal"],
-        modules=names["module"],
         module_defs=module_defs,
         regseqs=names["regseq"],
         directives=directives,
@@ -178,7 +175,7 @@ def parse_instance(text):
 def _parse_declaration(ts, kind, ring, names, module_defs):
     """`NAME = body ;` after the keyword `kind`; a module's R/J is built, and
     refused for a unit J, only once its `;` is read."""
-    name = ts.expect_ident(_NAME_WHAT[kind])
+    name = ts.expect("ident", _NAME_WHAT[kind])
     if name.value in names[kind]:
         raise ParseError(f"duplicate {kind} name {name.value!r}", name.line, name.col)
     ts.expect_sym("=")
@@ -187,7 +184,7 @@ def _parse_declaration(ts, kind, ring, names, module_defs):
     elif kind == "regseq":
         value = tuple(_comma_list(ts, parse_poly_tokens, ring))
     else:
-        kw = ts.expect_ident("quotient keyword")
+        kw = ts.expect("ident", "quotient keyword")
         if kw.value != "quotient":
             raise ParseError("expected 'quotient'", kw.line, kw.col)
         ref = ts.peek()
@@ -196,7 +193,7 @@ def _parse_declaration(ts, kind, ring, names, module_defs):
             module_defs[name.value] = "0"
             defining = Ideal(ring, ())
         else:
-            ref = ts.expect_ident("ideal name")
+            ref = ts.expect("ident", "ideal name")
             if ref.value not in names["ideal"]:
                 raise ParseError(f"unresolved ideal {ref.value!r}", ref.line, ref.col)
             module_defs[name.value] = ref.value
@@ -214,7 +211,7 @@ def _parse_check(ts, ring, names):
     """`CHECKID ( arguments ) ;` after the keyword; the arguments a check
     needs are asked for, and a pair check's instance built, once its `;` is
     read."""
-    id_tok = ts.expect_ident("check id")
+    id_tok = ts.expect("ident", "check id")
     try:
         check_id = CheckId(id_tok.value)
     except ValueError:
@@ -229,6 +226,10 @@ def _parse_check(ts, ring, names):
         if args:
             raise ParseError(f"check {check_id.value} takes no arguments", id_tok.line, id_tok.col)
         return CheckDirective(check_id, args, None)
+    if check_id is not CheckId.APRIME_T7 and args.keys() & {"alt_I", "alt_seq"}:
+        raise ParseError("only APRIME_T7 takes alt_I or alt_seq", id_tok.line, id_tok.col)
+    if "alt_seq" in args and "alt_I" not in args:
+        raise ParseError("alt_seq needs alt_I", id_tok.line, id_tok.col)
     for key in ("a", "I", "M"):
         if key not in args:
             raise ParseError(
@@ -265,14 +266,14 @@ def _linking_ideal(names, args, ideal_key, seq_key, id_tok):
 
 def _parse_argument(ts, names, args):
     """`argname = NAME` into args, with NAME declared as the kind argname takes."""
-    key_tok = ts.expect_ident("argument name")
+    key_tok = ts.expect("ident", "argument name")
     key = key_tok.value
     if key not in _CHECK_ARGS:
         raise ParseError(f"unknown argument {key!r}", key_tok.line, key_tok.col)
     if key in args:
         raise ParseError(f"duplicate argument {key!r}", key_tok.line, key_tok.col)
     ts.expect_sym("=")
-    val_tok = ts.expect_ident("name")
+    val_tok = ts.expect("ident", "name")
     if val_tok.value not in names[_CHECK_ARGS[key]]:
         raise ParseError(f"unresolved reference {val_tok.value!r}", val_tok.line, val_tok.col)
     args[key] = val_tok.value

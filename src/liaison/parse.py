@@ -9,14 +9,22 @@ minus allowed only on the first term):
     coeff  := int | int '/' uint
     var    := identifier
 
-The same tokenizer serves the instance-file parser; '#' starts a comment that
-runs to end of line.
+The same tokenizer serves the instance-file parser.  Its tokens are
+
+    int    ASCII digits only (str.isdigit admits superscripts and other scripts)
+    ident  a str.isalpha character, then str.isalnum characters or '_'
+    sym    one character of +-*/^=,;()[]
+    eof    the end of input, at the '#' of a final comment if there is one
+
+'#' starts a comment that runs to end of line, str.isspace characters are
+blank, and any other character is an error.  Only a line feed ends a line,
+and a token's column is its offset from the start of its line plus one.
 """
 
 from .errors import ParseError
 
 SYMBOLS = "+-*/^=,;()[]"
-DIGITS = "0123456789"  # ASCII only: str.isdigit admits superscripts and other scripts
+DIGITS = "0123456789"
 
 
 class Token:
@@ -34,47 +42,32 @@ class Token:
 
 def tokenize(text):
     tokens = []
-    line, col = 1, 1
+    line, line_start = 1, 0
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
+        col = i - line_start + 1
+        j = i + 1
         if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch in DIGITS:
-            j = i
+            line, line_start = line + 1, j
+        elif ch == "#":
+            j = text.find("\n", i)
+            if j < 0:
+                break
+        elif ch in DIGITS:
             while j < n and text[j] in DIGITS:
                 j += 1
-            tokens.append(Token("int", int(text[i:j]), line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
+            tokens.append(Token("int", int(text[i:j]), line, col))
+        elif ch.isalpha():
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(Token("ident", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in SYMBOLS:
-            tokens.append(Token("sym", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(Token("eof", None, line, col))
+            tokens.append(Token("ident", text[i:j], line, col))
+        elif ch in SYMBOLS:
+            tokens.append(Token("sym", ch, line, col))
+        elif not ch.isspace():
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+        i = j
+    tokens.append(Token("eof", None, line, i - line_start + 1))
     return tokens
 
 
@@ -83,8 +76,9 @@ class TokenStream:
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def peek(self, ahead=0):
+        """The next token, or the one `ahead` tokens past it (at most eof)."""
+        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
 
     def next(self):
         tok = self.tokens[self.pos]
@@ -107,15 +101,9 @@ class TokenStream:
             raise ParseError(f"expected {ch!r}", tok.line, tok.col)
         return self.next()
 
-    def expect_int(self, what="integer"):
+    def expect(self, kind, what):
         tok = self.peek()
-        if tok.kind != "int":
-            raise ParseError(f"expected {what}", tok.line, tok.col)
-        return self.next()
-
-    def expect_ident(self, what="identifier"):
-        tok = self.peek()
-        if tok.kind != "ident":
+        if tok.kind != kind:
             raise ParseError(f"expected {what}", tok.line, tok.col)
         return self.next()
 
@@ -126,11 +114,11 @@ class TokenStream:
 
 
 def _coeff(ts, field):
-    tok = ts.expect_int("coefficient")
+    tok = ts.expect("int", "coefficient")
     num = tok.value
     if ts.at_sym("/"):
         slash = ts.next()
-        den_tok = ts.expect_int("denominator")
+        den_tok = ts.expect("int", "denominator")
         try:
             return field.frac(num, den_tok.value)
         except ZeroDivisionError as exc:
@@ -139,12 +127,12 @@ def _coeff(ts, field):
 
 
 def _factor(ts, ring):
-    tok = ts.expect_ident("variable")
+    tok = ts.expect("ident", "variable")
     if tok.value not in ring._index:
         raise ParseError(f"unknown variable {tok.value!r}", tok.line, tok.col)
     exp = 1
     if ts.try_sym("^"):
-        exp = ts.expect_int("exponent").value
+        exp = ts.expect("int", "exponent").value
     exps = [0] * ring.nvars
     exps[ring._index[tok.value]] = exp
     return tuple(exps)
@@ -180,9 +168,14 @@ def parse_poly_tokens(ts, ring):
     return p
 
 
+def parse_text(text, parse_item, *args):
+    """parse_item(ts, *args) over the whole of text, which it must consume."""
+    ts = TokenStream(tokenize(text))
+    out = parse_item(ts, *args)
+    ts.expect_eof()
+    return out
+
+
 def parse_polynomial(src, ring):
     """Parse a complete polynomial string into canonical form."""
-    ts = TokenStream(tokenize(src))
-    p = parse_poly_tokens(ts, ring)
-    ts.expect_eof()
-    return p
+    return parse_text(src, parse_poly_tokens, ring)

@@ -70,9 +70,39 @@ def test_malformed_file_exit_two(tmp_path, capsys):
     assert "line 1" in err and "col" in err
 
 
-def test_missing_file_exit_two(capsys):
-    assert main(["run", str(CORPUS / "does_not_exist.link")]) == 2
-    assert "error" in capsys.readouterr().err
+def test_missing_file_exit_two(tmp_path, capsys):
+    missing = tmp_path / "does_not_exist.link"
+    assert main(["run", str(missing)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
+# (arguments after `run`, the one stderr line, the exit code); {tmp} is the
+# test's directory, which holds bad.link (a parse error) and deg.link
+# (a degree past the default cap while parsing)
+RUN_ERRORS = {
+    "directory": (["{tmp}"], "error: [Errno 21] Is a directory: '{tmp}'", 2),
+    "parse": (["{tmp}/bad.link"], "error: {tmp}/bad.link: line 2 col 13: expected ';'", 2),
+    "degree": (
+        ["{tmp}/deg.link"],
+        "error: resource limit: polynomial degree 300 exceeds cap 128",
+        3,
+    ),
+    "out": (
+        [str(CORPUS / "zero_link.link"), "--out", "{tmp}/missing/report.json"],
+        "error: [Errno 2] No such file or directory: '{tmp}/missing/report.json'",
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", RUN_ERRORS)
+def test_run_error_line_and_exit_code(case, tmp_path, capsys):
+    (tmp_path / "bad.link").write_text("ring R = QQ[x, y] grevlex;\nideal a = x y;\n")
+    (tmp_path / "deg.link").write_text("ring R = QQ[x] grevlex;\nideal a = x^300;\n")
+    argv, line, code = RUN_ERRORS[case]
+    assert main(["run", *(arg.format(tmp=tmp_path) for arg in argv)]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", line.format(tmp=tmp_path) + "\n")
 
 
 def test_usage_error_exit_two(capsys):

@@ -94,6 +94,29 @@ def test_missing_alt_seq_for_nonzero_alt_I_rejected_at_the_check_id():
     assert (err.value.line, err.value.col) == (7, 7)
 
 
+ALTERNATE_DECLS = FLAGSHIP_MIN.replace(
+    "check T5_CD(a = a, I = I, M = M, seq = s);\n",
+    "ideal I2 = x1*x4, x2*x3;\nregseq s2 = x1*x4, x2*x3;\n",
+)
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (
+            "L07(a = a, I = I, M = M, seq = s, alt_I = I2, alt_seq = s2)",
+            "only APRIME_T7 takes alt_I or alt_seq",
+        ),
+        ("APRIME_T7(a = a, I = I, M = M, seq = s, alt_seq = s2)", "alt_seq needs alt_I"),
+    ],
+    ids=["alternate-on-another-check", "alt_seq-without-alt_I"],
+)
+def test_stray_alternate_rejected_at_the_check_id(check, message):
+    with pytest.raises(ParseError) as err:
+        parse_instance(f"{ALTERNATE_DECLS}check {check};\n")
+    assert (err.value.message, err.value.line, err.value.col) == (message, 8, 7)
+
+
 def test_zero_ideal_literal_and_empty_witness():
     text = (
         "ring R = QQ[x, y] grevlex;\n"

@@ -29,7 +29,7 @@ W = RegularSequenceWitness((X**2, Y))
 RECORDS = {
     Verdict: ((CheckId.L07, "holds", {"k": 1}, None, 0.5), False),
     CheckDirective: ((CheckId.T5_CD, {"a": "a", "M": "M"}, None), False),
-    InstanceFile: ((R, "R", {"a": J}, {"M": M}, {"M": "0"}, {"s": (X,)}, []), False),
+    InstanceFile: ((R, "R", {"a": J}, {"M": "0"}, {"s": (X,)}, []), False),
     CyclicModule: ((R, J), True),
     RegularSequenceWitness: (((X**2, Y),), True),
     LinkageInstance: ((R, M, J, J, W, J, (J, W)), True),
@@ -39,7 +39,7 @@ RECORDS = {
 FIELDS = {
     Verdict: ("check", "status", "details", "witness", "millis"),
     CheckDirective: ("check", "args", "instance"),
-    InstanceFile: ("ring", "ring_name", "ideals", "modules", "module_defs", "regseqs", "directives"),
+    InstanceFile: ("ring", "ring_name", "ideals", "module_defs", "regseqs", "directives"),
     CyclicModule: ("ring", "defining_ideal"),
     RegularSequenceWitness: ("elements",),
     LinkageInstance: ("ring", "module", "a", "I", "witness", "b", "alternate"),
