@@ -29,6 +29,7 @@ from .linkage import (
     candidate_link,
     cd_oracle,
     free_module,
+    grade_oracle,
     is_geometrically_linked,
     is_linked,
     s_membership,
@@ -43,7 +44,7 @@ from .monomials import (
     primes_containing,
 )
 from .record import Record
-from .resolutions import grade_via_ext, nonzero_ext_degrees
+from .resolutions import nonzero_ext_degrees
 
 
 class CheckId(Enum):
@@ -154,7 +155,7 @@ def _aprime(inst, I, witness):
     """a' of the instance from the linking ideal I (with monomial I + J), when
     the witness is a maximal regular sequence in a and I lies in a + J; then
     some associated prime of M/IM contains a, by prime avoidance."""
-    if grade_via_ext(inst.a, inst.module) != witness.length:
+    if grade_oracle(inst.a, inst.module) != witness.length:
         raise Inapplicable("witness is not a maximal regular sequence in a")
     if not ideal_contains(inst.module.plus_ann(inst.a), I):
         raise Inapplicable("the linking ideal is not contained in a modulo J")
@@ -224,9 +225,11 @@ def _pattern_applies(inst):
 
 def _vanishing_pattern(inst, grade_ab, d, key):
     """The clause that Ext^i(R/a, R) is nonzero only for i in {grade a,
-    grade(a + b)}, recorded under key."""
+    grade(a + b)}, recorded under key.  The degrees come from Ext and the
+    grades from grade_oracle, which over M = R reads heights, so neither side
+    restates the other."""
     degrees = set(nonzero_ext_degrees(inst.a, inst.module))
-    allowed = {grade_via_ext(inst.a, inst.module), grade_ab}
+    allowed = {grade_oracle(inst.a, inst.module), grade_ab}
     d["nonvanishing_degrees"] = sorted(degrees)
     d["allowed_degrees"] = sorted(allowed)
     d.clause(key, degrees <= allowed)
@@ -269,7 +272,7 @@ def check_mv_bound(inst):
         d.clause("bound_holds", holds)
 
     if cd_ab is not None:
-        grade_ab = grade_via_ext(ab, M)
+        grade_ab = grade_oracle(ab, M)
         d["grade_a_plus_b"] = grade_ab
         if cd_ab == grade_ab and _pattern_applies(inst):
             _vanishing_pattern(inst, grade_ab, d, "vanishing_pattern_holds")
@@ -288,7 +291,7 @@ def check_vanishing_pattern(inst):
     d = _Details()
     cd_ab = cd_oracle(ab, inst.module)
     if cd_ab is not None and _pattern_applies(inst):
-        grade_ab = grade_via_ext(ab, inst.module)
+        grade_ab = grade_oracle(ab, inst.module)
         if cd_ab == grade_ab:
             _vanishing_pattern(inst, grade_ab, d, None)
         else:
@@ -308,7 +311,7 @@ def check_grade_formula(inst):
     b = _require_geometric(inst)
     ab = _require_proper_sum(inst, b)
     t = inst.witness.length
-    grade_ab = grade_via_ext(ab, inst.module)
+    grade_ab = grade_oracle(ab, inst.module)
     details = {"t": t, "grade_a_plus_b": grade_ab, "expected": t + 1}
     return grade_ab == t + 1, details, {"b": gens_str(b)}
 
@@ -332,7 +335,7 @@ def check_cd_formula(inst):
     primes, in_v_a, excluded = _unmixed_ass(inst)
 
     d = _Details(ass_mod_I=_primes_str(primes))
-    grade_a = grade_via_ext(inst.a, M)
+    grade_a = grade_oracle(inst.a, M)
     d["grade_a"] = grade_a
     d["excluded_primes"] = _primes_str(excluded)
     cd_a = cd_oracle(inst.a, M)
@@ -352,7 +355,7 @@ def check_cd_formula(inst):
             "radical_I_eq_a_cap_c",
             radicals_equal(M.plus_ann(inst.I), M.plus_ann(intersect_ideals(inst.a, c))),
         )
-        grade_ac = grade_via_ext(ideal_sum(inst.a, c), M)
+        grade_ac = grade_oracle(ideal_sum(inst.a, c), M)
         d["grade_a_plus_c"] = grade_ac
         d.clause("grade_jump_holds", grade_ac >= grade_a + 1)
         contained = intersect_primes(ring, in_v_a)
@@ -389,7 +392,7 @@ def check_e3_identity(inst):
     }
     cd_a = cd_oracle(inst.a, M)
     if cd_a is not None:
-        grade_a = grade_via_ext(inst.a, M)
+        grade_a = grade_oracle(inst.a, M)
         if cd_a == grade_a:
             details["relative_cm_wrt_a"] = True
         else:
@@ -582,7 +585,7 @@ def check_t1(ring, corpus):
                 continue
             if not ideal_contains(candidate, inst.I):
                 continue
-            if grade_via_ext(candidate, inst.module) != t:
+            if grade_oracle(candidate, inst.module) != t:
                 continue
             examined += 1
             if cd_oracle(candidate, inst.module) >= n:

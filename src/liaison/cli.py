@@ -8,6 +8,7 @@ Exit codes: 0 every check holds (or is inapplicable), 1 some check fails,
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from . import __version__, limits
 from .checks import FAILS, gens_str, run_suite
@@ -21,10 +22,16 @@ from .instancefile import (
     parse_poly_list,
     parse_ring_spec,
 )
-from .linkage import CyclicModule, RegularSequenceWitness, aprime_construct, cd_oracle
+from .linkage import (
+    CyclicModule,
+    RegularSequenceWitness,
+    aprime_construct,
+    cd_oracle,
+    grade_oracle,
+)
 from .monomials import is_monomial_ideal
 from .parse import parse_text
-from .resolutions import grade_via_ext, pd_via_resolution
+from .resolutions import pd_via_resolution
 
 
 def report_schema():
@@ -84,14 +91,20 @@ def exit_code_for(verdicts):
     return code
 
 
-def _write_output(text, out_path):
+@contextmanager
+def _output(out_path):
+    """The --out file, opened for writing, or standard output without one."""
     if out_path:
         with open(out_path, "w") as handle:
-            handle.write(text)
+            yield handle
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        yield sys.stdout
+
+
+def _write(handle, text):
+    handle.write(text)
+    if handle is sys.stdout and not text.endswith("\n"):
+        handle.write("\n")
 
 
 def _cmd_run(args):
@@ -100,26 +113,40 @@ def _cmd_run(args):
     try:
         with limits.run_context(degree=args.degree_cap):
             parsed = parse_instance(text)
-            verdicts = run_suite(parsed)
     except ParseError as exc:
         print(f"error: {args.file}: {exc}", file=sys.stderr)
         return 2
-    report = build_report(parsed, verdicts)
-    if args.format == "json":
-        _write_output(json.dumps(report, indent=2) + "\n", args.out)
-    else:
-        _write_output(render_markdown(report), args.out)
+    # opened before the checks run, so an unwritable --out fails at once
+    with _output(args.out) as out:
+        with limits.run_context(degree=args.degree_cap):
+            verdicts = run_suite(parsed)
+        report = build_report(parsed, verdicts)
+        if args.format == "json":
+            _write(out, json.dumps(report, indent=2) + "\n")
+        else:
+            _write(out, render_markdown(report))
     return exit_code_for(verdicts)
 
 
+def _parse_option(name, text, parse_item, *args):
+    """parse_text over the value of option name; a parse error names the
+    option, as `liaison run` names the file."""
+    try:
+        return parse_text(text, parse_item, *args)
+    except ParseError as exc:
+        raise LiaisonError(f"{name}: {exc}") from exc
+
+
 def _cmd_compute(args):
-    ring = parse_text(args.ring, parse_ring_spec, "grevlex")
-    ideal = Ideal(ring, tuple(parse_text(args.ideal, parse_poly_list, ring)))
-    by = None
-    if args.by is not None:
-        by = Ideal(ring, tuple(parse_text(args.by, parse_poly_list, ring)))
-    module_gens = () if args.module is None else parse_text(args.module, parse_poly_list, ring)
-    module = CyclicModule(ring, Ideal(ring, tuple(module_gens)))
+    ring = _parse_option("--ring", args.ring, parse_ring_spec, "grevlex")
+
+    def ideal_option(name, text):
+        return Ideal(ring, tuple(_parse_option(name, text, parse_poly_list, ring)))
+
+    ideal = ideal_option("--ideal", args.ideal)
+    by = None if args.by is None else ideal_option("--by", args.by)
+    J = Ideal(ring, ()) if args.module is None else ideal_option("--module", args.module)
+    module = CyclicModule(ring, J)
 
     op = args.operation
     if op == "gb":
@@ -133,13 +160,13 @@ def _cmd_compute(args):
             raise ValueError("intersect needs --by")
         print(gens_str(intersect_ideals(ideal, by)))
     elif op == "grade":
-        print(grade_via_ext(ideal, module))
+        print(grade_oracle(ideal, module))
     elif op == "cd":
         if ideal.is_unit():
             raise ValueError("cd of the unit ideal is undefined")
         if module.kills(ideal):
             raise ValueError("aM = M: cd is undefined")
-        grade = grade_via_ext(ideal, module)
+        grade = grade_oracle(ideal, module)
         lo = hi = cd_oracle(ideal, module)
         if lo is None:  # no exact oracle: [grade, min(#generators, dim R)]
             gens = ideal.groebner() if is_monomial_ideal(ideal) else set(ideal.gens) - {ring.zero}
@@ -163,7 +190,8 @@ def _cmd_gen(args):
     from .generate import generate_instances
 
     text = generate_instances(args.seed, args.profile, args.count, args.vars)
-    _write_output(text, args.out)
+    with _output(args.out) as out:
+        _write(out, text)
     return 0
 
 

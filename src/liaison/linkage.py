@@ -7,8 +7,10 @@ linked by I over M iff M.colon(I, a) = M.plus_ann(b) and M.colon(I, b) =
 M.plus_ann(a), geometrically linked iff additionally M.plus_ann(a) cap
 M.plus_ann(b) = M.plus_ann(I).
 
-cd_oracle is the one place that picks a cd route for (a, M); the checks and
-the CLI ask it and nothing else.
+cd_oracle and grade_oracle are the one places that pick a cd route and a
+grade route for (a, M); the checks and the CLI ask them and nothing else.
+Grade over M = R is the height of a's initial ideal, and over any other M it
+is the least nonvanishing Ext degree (see grade_oracle).
 """
 
 from .errors import RingMismatchError, WitnessError
@@ -24,11 +26,13 @@ from .limits import memo
 from .monomials import (
     associated_primes_monomial,
     cd_monomial,
+    height,
     intersect_primes,
     is_monomial_ideal,
     primes_containing,
 )
 from .record import Record
+from .resolutions import grade_via_ext
 
 
 class CyclicModule(Record):
@@ -222,6 +226,23 @@ def cd_oracle(a, M):
     if len(gb) == 1:
         return cd_principal_cyclic(gb[0], M)
     return None
+
+
+def grade_oracle(a, M):
+    """grade(a, M) for cyclic M, rejected with ValueError when aM = M.
+
+    Over M = R it is height(a), from the leading monomials of a's reduced
+    basis: R is Cohen-Macaulay, so grade equals height there, and the height
+    needs only that basis, where Ext builds a free resolution of R/a.  Over
+    M = R/J it is grade_via_ext, which reads Ext^i(R/a, R/J) and needs no
+    hypothesis on J; a height formula there needs R/J Cohen-Macaulay, which
+    nothing here decides yet.
+
+    The only grade entry point: the checks and the CLI ask it and nothing
+    else."""
+    if M.is_free() and not a.is_unit():
+        return height(a)
+    return grade_via_ext(a, M)
 
 
 class LinkageInstance(Record):

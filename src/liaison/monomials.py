@@ -1,7 +1,8 @@
 """Monomial-ideal combinatorics, computed from the exponent supports of the
 minimal generators: irreducible decomposition, associated primes,
 Hochster-formula projective dimension, and the cohomological-dimension
-oracle.
+oracle; and the height of any ideal, from the supports of its leading
+monomials (the grade over M = R, see linkage.grade_oracle).
 
 The cd oracle rests on two standard facts about a squarefree monomial ideal a
 over a polynomial ring: cd(a, R) equals pd(R/a), and H^i_a(R) is nonzero
@@ -251,6 +252,21 @@ def hochster_pd(I):
             if i > best:
                 best = i
     return best
+
+
+def height(a):
+    """height(a) for a proper ideal of any polynomial ring, read off in(a),
+    the ideal of the leading monomials of a's reduced Groebner basis.
+
+    dim R/a = dim R/in(a) under every monomial order (Kredel & Weispfenning,
+    JSC 6, 1988), so height a = height in(a) = height sqrt(in(a)), the least
+    size of a minimal prime of that squarefree ideal: of one of its
+    irreducible components, which are coordinate primes.  R is
+    Cohen-Macaulay, so this is also grade(a, R) (linkage.grade_oracle)."""
+    if a.is_unit():
+        raise ValueError("the unit ideal has no height")
+    square_free = [tuple(min(e, 1) for e in g.terms[0][0]) for g in a.groebner()]
+    return min(map(len, _irreducible_components(square_free)))
 
 
 def cd_monomial(a):

@@ -11,6 +11,13 @@ J-multiples.  Within one run (limits.run_context), resolutions are memoized
 on the ring and the ordered distinct nonzero generators, on which their
 matrices depend, and Ext answers on the ring, the sets of nonzero generators
 of a and J, and the degree.
+
+grade_via_ext is the general grade route: it holds for every cyclic M, and
+linkage.grade_oracle takes it for M = R/J != R.  Over M = R the oracle takes
+the height of a's initial ideal instead, which needs no resolution; there
+grade_via_ext stays the tests' reference.  nonzero_ext_degrees is the only
+source of Ext degrees for the checks, so the vanishing pattern compares Ext
+with a grade found another way.
 """
 
 from .groebner import (

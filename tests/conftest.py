@@ -154,3 +154,20 @@ def load_perfbench(name, monkeypatch):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def reference_workload_files(tmp_path_factory):
+    """{workload: files} for the benchmark's three workloads at its reference
+    seed: the corpus, and the gen-wide and nonmonomial files built the way
+    the benchmark builds them."""
+    with pytest.MonkeyPatch.context() as mp:
+        run = load_perfbench("run", mp)
+    files = {"corpus": sorted(CORPUS_DIR.glob("*.link"))}
+    for workload in ("gen-wide", "nonmonomial"):
+        workdir = tmp_path_factory.mktemp(workload)
+        built = run.workloads.build(
+            workload, run.REFERENCE_SEED, CORPUS_DIR.parent, workdir, run.child_env()
+        )
+        files[workload] = built.files
+    return files

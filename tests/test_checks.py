@@ -3,6 +3,7 @@ import pytest
 from conftest import CORPUS_DIR, random_polynomial, seeded
 import liaison.checks as checks_mod
 import liaison.linkage as linkage_mod
+import liaison.resolutions as resolutions_mod
 from liaison.checks import (
     FAILS,
     HOLDS,
@@ -345,6 +346,8 @@ def test_aprime_minimality_skipped_over_non_squarefree_ann_m():
     assert verdict.status == HOLDS
 
 
+# Each mutant below wraps one oracle of the checks and turns exactly these
+# corpus verdicts (check: files) to fails.
 CD_TEETH = {
     CheckId.T1_GLOBAL: {"flagship.link", "principal_pair.link"},
     CheckId.C1_WITNESS: {
@@ -356,6 +359,21 @@ CD_TEETH = {
     CheckId.T5_CD: {"fp_selflink.link", "selflink.link"},
     CheckId.T8_MV: {"principal_pair.link"},
 }
+# grade + 1 also closes grade gates without a fails: APRIME_T7 and C4 turn
+# inapplicable, T1_GLOBAL examines no ideal, and T8_MV and L5 drop the
+# vanishing pattern, whose gate is cd(a + b) = grade(a + b)
+GRADE_TEETH = {
+    CheckId.GRADE_FORMULA_T: {"flagship.link", "principal_pair.link", "zero_link.link"},
+    CheckId.T5_CD: {"fp_selflink.link", "principal_pair.link", "selflink.link"},
+}
+# degree 0 added to every Ext: over M = R the grades come from heights, so
+# the vanishing pattern of T8_MV and L5 sees it; over zero_link's M = R/(x*y)
+# the grade is the least Ext degree and drops to 0
+EXT_TEETH = {
+    CheckId.T8_MV: {"flagship.link", "principal_pair.link", "selflink.link"},
+    CheckId.L5: {"flagship.link"},
+    CheckId.GRADE_FORMULA_T: {"zero_link.link"},
+}
 
 
 def _corpus_verdicts():
@@ -366,20 +384,46 @@ def _corpus_verdicts():
     return out
 
 
+def _flipped_to_fails(monkeypatch, patches):
+    """{check: corpus files} whose verdicts turn to fails once every
+    (module, name, value) of patches is set."""
+    before = _corpus_verdicts()
+    for module, name, value in patches:
+        monkeypatch.setattr(module, name, value)
+    flipped = {}
+    for check, files in _corpus_verdicts().items():
+        for name, statuses in files.items():
+            if any(s == FAILS and b != FAILS for b, s in zip(before[check][name], statuses)):
+                flipped.setdefault(check, set()).add(name)
+    return flipped
+
+
 def test_every_cd_in_the_checks_comes_from_cd_oracle(monkeypatch):
     true_oracle = checks_mod.cd_oracle
-    before = _corpus_verdicts()
 
     def plus_one(a, M):
         cd = true_oracle(a, M)
         return None if cd is None else cd + 1
 
-    monkeypatch.setattr(checks_mod, "cd_oracle", plus_one)
-    after = _corpus_verdicts()
-    for check, files in CD_TEETH.items():
-        flipped = {
-            name
-            for name, statuses in after[check].items()
-            if any(s == FAILS and b != FAILS for b, s in zip(before[check][name], statuses))
-        }
-        assert flipped == files, check
+    assert _flipped_to_fails(monkeypatch, [(checks_mod, "cd_oracle", plus_one)]) == CD_TEETH
+
+
+def test_every_grade_in_the_checks_comes_from_grade_oracle(monkeypatch):
+    true_oracle = checks_mod.grade_oracle
+
+    def plus_one(a, M):
+        return true_oracle(a, M) + 1
+
+    assert _flipped_to_fails(monkeypatch, [(checks_mod, "grade_oracle", plus_one)]) == GRADE_TEETH
+
+
+def test_a_spurious_ext_degree_fails_the_vanishing_pattern(monkeypatch):
+    true_degrees = resolutions_mod.nonzero_ext_degrees
+
+    def with_zero(a, M):
+        yield 0
+        yield from (i for i in true_degrees(a, M) if i)
+
+    patches = [(resolutions_mod, "nonzero_ext_degrees", with_zero),
+               (checks_mod, "nonzero_ext_degrees", with_zero)]
+    assert _flipped_to_fails(monkeypatch, patches) == EXT_TEETH

@@ -105,6 +105,35 @@ def test_run_error_line_and_exit_code(case, tmp_path, capsys):
     assert (captured.out, captured.err) == ("", line.format(tmp=tmp_path) + "\n")
 
 
+def test_unwritable_out_fails_before_any_check(tmp_path, capsys, monkeypatch):
+    import liaison.cli as cli_mod
+
+    suites = []
+    monkeypatch.setattr(cli_mod, "run_suite", lambda parsed: suites.append(parsed) or [])
+    out = tmp_path / "missing" / "report.json"
+    assert main(["run", str(CORPUS / "flagship.link"), "--out", str(out)]) == 2
+    assert suites == []
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+
+# Each option of `liaison compute` that is parsed, with a value that does not
+# parse: the error names the option, as `liaison run` names the file.
+COMPUTE_PARSE_ERRORS = {
+    "--ring": (["--ring", "QQ[x,y", "--ideal", "x"], "line 1 col 7: expected ']'"),
+    "--ideal": (["--ring", "QQ[x,y]", "--ideal", "x^2, y 1"], "line 1 col 8: unexpected trailing input"),
+    "--by": (["--ring", "QQ[x,y]", "--ideal", "x", "--by", "y +"], "line 1 col 4: expected a term"),
+    "--module": (["--ring", "QQ[x,y]", "--ideal", "x", "--module", "x*"], "line 1 col 3: expected variable"),
+}
+
+
+@pytest.mark.parametrize("option", COMPUTE_PARSE_ERRORS)
+def test_compute_parse_error_names_the_option(option, capsys):
+    argv, message = COMPUTE_PARSE_ERRORS[option]
+    assert main(["compute", "colon", *argv]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {option}: {message}\n")
+
+
 def test_usage_error_exit_two(capsys):
     assert main(["frobnicate"]) == 2
 

@@ -1,6 +1,11 @@
+import random
+
 import pytest
 
-from liaison.errors import WitnessError
+import liaison.checks as checks_mod
+import liaison.linkage as linkage_mod
+from liaison.checks import run_suite
+from liaison.errors import ResourceLimitError, WitnessError
 from liaison.groebner import Ideal, ideal_sum
 from liaison.ideal_ops import ideal_contains, ideal_equal
 from liaison.linkage import (
@@ -12,13 +17,24 @@ from liaison.linkage import (
     cd_oracle,
     cd_principal_cyclic,
     free_module,
+    grade_oracle,
     is_geometrically_linked,
     is_linked,
     is_regular_sequence,
     s_membership,
 )
-from liaison.monomials import associated_primes_monomial, monomial_radical
+from liaison.instancefile import parse_instance
+from liaison.monomials import associated_primes_monomial, height, monomial_radical
 from liaison.resolutions import grade_via_ext
+from test_fuzz import (
+    ALTERNATE_SEEDS,
+    FILES_PER_SEED,
+    LINKED_SEEDS,
+    PARTNER_SEEDS,
+    SEEDS,
+    linked_instance,
+    random_instance,
+)
 
 
 @pytest.fixture(scope="module")
@@ -266,3 +282,72 @@ def test_ass_containment_on_linked_monomial_corpus(corpus_instances):
         except ValueError:
             continue
         assert ass_a <= ass_i, name
+
+
+# -- the two grade routes -----------------------------------------------------------
+
+
+def test_grade_oracle_routes(r3, monkeypatch):
+    x, y, z = r3.gens()
+    R = free_module(r3)
+    assert height(Ideal(r3, ())) == grade_oracle(Ideal(r3, ()), R) == 0
+    # the reduced basis adds x^2*z - y*z^2, so in(a) = (x^2*z, x*y, y^2),
+    # whose radical (y, x*z) has the minimal primes (x, y) and (y, z)
+    a = Ideal(r3, (x * y - z**2, x * z - y**2))
+    assert height(a) == grade_oracle(a, R) == grade_via_ext(a, R) == 2
+    # minimal primes of two sizes: the height is the least of them
+    for a in (Ideal(r3, (x * y, x * z)), Ideal(r3, (x * y - x, x * z))):
+        assert height(a) == grade_oracle(a, R) == grade_via_ext(a, R) == 1
+    for unit in (Ideal(r3, (r3.one,)), Ideal(r3, (x, x - r3.one))):
+        with pytest.raises(ValueError, match="the ideal acts as the unit on M"):
+            grade_oracle(unit, R)
+        with pytest.raises(ValueError, match="the unit ideal has no height"):
+            height(unit)
+    # over R/J the grade is read off Ext, never off a height
+    monkeypatch.setattr(linkage_mod, "height", None)
+    xy = CyclicModule(r3, Ideal(r3, (x * y,)))
+    assert grade_oracle(Ideal(r3, (x, y)), xy) == 1
+    assert grade_oracle(Ideal(r3, (x, z)), xy) == 1
+    assert grade_oracle(Ideal(r3, (z,)), xy) == 1
+    with pytest.raises(ValueError, match="the ideal acts as the unit on M"):
+        grade_oracle(Ideal(r3, (x - r3.one,)), CyclicModule(r3, Ideal(r3, (x,))))
+
+
+def _fuzz_texts():
+    for seed in SEEDS + PARTNER_SEEDS:
+        rng = random.Random(seed)
+        partners = seed in PARTNER_SEEDS
+        yield from (random_instance(rng, partners) for _ in range(FILES_PER_SEED))
+    for seed in LINKED_SEEDS + ALTERNATE_SEEDS:
+        rng = random.Random(seed)
+        alternate = seed in ALTERNATE_SEEDS
+        yield from (linked_instance(rng, alternate) for _ in range(FILES_PER_SEED))
+
+
+def test_height_equals_the_ext_grade_on_every_ideal_the_checks_ask(
+    reference_workload_files, monkeypatch
+):
+    asked = {}
+    true_oracle = checks_mod.grade_oracle
+
+    def recording(a, M):
+        if M.is_free() and not a.is_unit():
+            asked.setdefault((a.ring, a.gens_key()), a)
+        return true_oracle(a, M)
+
+    monkeypatch.setattr(checks_mod, "grade_oracle", recording)
+    texts = [p.read_text() for paths in reference_workload_files.values() for p in paths]
+    for text in texts + list(_fuzz_texts()):
+        try:
+            parsed = parse_instance(text)
+        except ResourceLimitError:
+            continue
+        run_suite(parsed)
+    # 901 ideals, 449 of them over lex and 36 with an inhomogeneous
+    # generator; the floors leave a margin for gates that later close
+    ideals = list(asked.values())
+    assert len(ideals) >= 850
+    assert sum(a.ring.order == "lex" for a in ideals) >= 400
+    assert sum(not all(g.is_homogeneous() for g in a.gens) for a in ideals) >= 30
+    for a in ideals:
+        assert height(a) == grade_via_ext(a, free_module(a.ring)), a
