@@ -17,7 +17,8 @@ alone and leaves a syzygy that vanishes on the rows asked about.  A reduced
 basis is memoized for one run (limits.run_context) on the ring and set of
 nonzero generators, and kept on the Ideal value that asked for it.
 Single-term generators skip the pair loop: their minimal exponents are the
-reduced basis.
+reduced basis; and membership in an ideal whose reduced basis is monomials
+is divisibility of each term, with no division.
 """
 
 from bisect import insort
@@ -55,6 +56,13 @@ def minimalize_exponents(exps):
 def intersect_exponents(a, b):
     """Minimal generators of (x^a) cap (x^b): the pairwise lcms, minimalized."""
     return minimalize_exponents(exp_lcm(m, n) for m in a for n in b)
+
+
+def exps_in_monomial_ideal(gens, exps):
+    """Does every x^e (e in exps) lie in the ideal of the monomials x^g (g in
+    gens)?  A monomial ideal contains exactly the multiples of its
+    generators."""
+    return all(any(exp_divides(g, e) for g in gens) for e in exps)
 
 
 def single_term_exponents(polys):
@@ -356,9 +364,17 @@ class Ideal:
         return frozenset(g for g in self.gens if not g.is_zero())
 
     def contains(self, f):
+        """f in the ideal.  Over a reduced basis of monomials, exactly when
+        each term of f is divisible by one of them; otherwise when f reduces
+        to zero."""
         if f.ring != self.ring:
             raise RingMismatchError("membership test across rings")
-        return reduce_normal_form(f, list(self.groebner())).is_zero()
+        gb = self.groebner()
+        # gb[0] first: most bases that are not monomials fail there, before
+        # the generator is built; that test is paid on every membership test.
+        if gb and len(gb[0].terms) == 1 and all(len(g.terms) == 1 for g in gb):
+            return exps_in_monomial_ideal([g.terms[0][0] for g in gb], (e for e, _ in f.terms))
+        return reduce_normal_form(f, gb).is_zero()
 
     def is_zero(self):
         return not self.groebner()
@@ -374,7 +390,7 @@ class Ideal:
 
 
 def ideal_membership(f, I):
-    """f in I, decided by normal form against the cached reduced basis."""
+    """f in I, decided against the cached reduced basis (Ideal.contains)."""
     return I.contains(f)
 
 

@@ -19,7 +19,7 @@ generators, on whose ideals alone their results depend.
 from .errors import RingMismatchError
 from .groebner import (
     Ideal,
-    exp_divides,
+    exps_in_monomial_ideal,
     intersect_exponents,
     reduced_groebner_basis,
     single_term_exponents,
@@ -117,7 +117,7 @@ def radical_membership(f, I):
     if exps is None:
         return saturate(I, Ideal(I.ring, (f,))).is_unit()
     supports = [tuple(min(x, 1) for x in g) for g in exps]
-    return all(any(exp_divides(s, e) for s in supports) for e, _ in f.terms)
+    return exps_in_monomial_ideal(supports, (e for e, _ in f.terms))
 
 
 def radicals_equal(I, J):

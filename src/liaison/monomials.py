@@ -6,16 +6,20 @@ monomials (the grade over M = R, see linkage.grade_oracle).
 
 The cd oracle rests on two standard facts about a squarefree monomial ideal a
 over a polynomial ring: cd(a, R) equals pd(R/a), and H^i_a(R) is nonzero
-exactly when Ext^i(R/a, R) is.  Betti numbers are computed over the ring's own
-coefficient field, so they can legitimately depend on the characteristic;
-reports record it.
+exactly when Ext^i(R/a, R) is.  When the generator supports are pairwise
+disjoint, a is a complete intersection and pd(R/a) is the number of
+generators, with no homology computed; otherwise Betti numbers are computed
+over the ring's own coefficient field, so they can legitimately depend on
+the characteristic; reports record it.  Within a run, cd is memoized on the
+ring and the generators of the radical.
 """
 
 from itertools import combinations
 
 from .errors import ResourceLimitError
-from .groebner import Ideal, exp_divides, minimalize_exponents
+from .groebner import Ideal, exps_in_monomial_ideal, minimalize_exponents
 from .ideal_ops import ideal_contains, intersect_ideals
+from .limits import memo
 from .record import Record
 
 MAX_COMPLEX_VARS = 12  # hochster_pd enumerates subsets of the support union, at most 2^n
@@ -59,11 +63,6 @@ def monomial_radical(I):
     return _ideal_from_exponents(I.ring, minimalize_exponents(square_free))
 
 
-def _monomial_contains(big, small):
-    """Does the monomial ideal generated by big contain every member of small?"""
-    return all(any(exp_divides(g, m) for g in big) for m in small)
-
-
 # -- irreducible decomposition ------------------------------------------------
 
 
@@ -90,7 +89,9 @@ def _irreducible_components(exps):
         rest = [m for m in gens if m != split_at]
         stack.append(minimalize_exponents(rest + [u]))
         stack.append(minimalize_exponents(rest + [v]))
-    return sorted(c for c in found if not any(o != c and _monomial_contains(c, o) for o in found))
+    return sorted(
+        c for c in found if not any(o != c and exps_in_monomial_ideal(c, o) for o in found)
+    )
 
 
 class AssociatedPrimes(Record):
@@ -226,6 +227,9 @@ def hochster_pd(I):
     unions of minimal generator supports; ranks over the ring's own field.
     Any other vertex set s holds a vertex in no minimal non-face inside s, so
     the restriction to s is a cone on that vertex and has no reduced homology.
+    Pairwise disjoint supports make I a complete intersection, whose Koszul
+    complex is its minimal resolution (Bruns & Herzog, Cohen-Macaulay Rings,
+    1.6), so pd(R/I) is the number of generators and the lattice is skipped.
     """
     ring = I.ring
     if ring.nvars > MAX_COMPLEX_VARS:
@@ -239,6 +243,8 @@ def hochster_pd(I):
         raise ValueError("not a squarefree monomial ideal")
     nonfaces = [_support(m) for m in exps]
     vertices = sorted(frozenset().union(*nonfaces))
+    if sum(map(len, nonfaces)) == len(vertices):
+        return len(nonfaces)
     subsets = (frozenset(c) for r in range(len(vertices) + 1) for c in combinations(vertices, r))
     faces = [f for f in subsets if not any(nf <= f for nf in nonfaces)]
     lattice = {frozenset()}
@@ -270,10 +276,12 @@ def height(a):
 
 
 def cd_monomial(a):
-    """cd(a, R) for a proper nonzero monomial ideal, via pd of the radical."""
+    """cd(a, R) for a proper nonzero monomial ideal, via pd of the radical;
+    memoized for one run on the ring and the radical's generators."""
     if a.is_zero():
         raise ValueError("cd oracle needs a nonzero ideal")
     if a.is_unit():
         raise ValueError("cd of the unit ideal is undefined")
-    return hochster_pd(monomial_radical(a))
+    radical = monomial_radical(a)
+    return memo("cd", (a.ring, radical.gens_key()), lambda: hochster_pd(radical))
 

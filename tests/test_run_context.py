@@ -15,6 +15,7 @@ from liaison.groebner import Ideal, reduced_groebner_basis
 from liaison.ideal_ops import ideal_quotient, intersect_ideals
 from liaison.instancefile import parse_instance
 from liaison.linkage import CyclicModule, RegularSequenceWitness, validate_witness
+from liaison.monomials import cd_monomial
 from liaison.resolutions import ext_nonzero, free_resolution
 
 FLAGSHIP = Path(__file__).resolve().parent.parent / "corpus" / "flagship.link"
@@ -138,6 +139,9 @@ def _fresh(kind, key):
     if kind == "ext":
         ring, a, J, i = key
         return ext_nonzero(i, Ideal(ring, a), CyclicModule(ring, Ideal(ring, J)))
+    if kind == "cd":
+        ring, gens = key
+        return cd_monomial(Ideal(ring, gens))
     ring, elements, I, J = key
     try:
         validate_witness(
@@ -168,6 +172,7 @@ def test_memo_is_transparent_and_deterministic(monkeypatch):
         "witness",
         "resolution",
         "ext",
+        "cd",
     }
 
 
