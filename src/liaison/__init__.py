@@ -18,7 +18,6 @@ from .errors import (
 from .fields import GF, QQ
 from .groebner import (
     Ideal,
-    ideal_membership,
     ideal_sum,
     module_groebner_basis,
     reduce_normal_form,
@@ -50,7 +49,6 @@ __all__ = [
     "WitnessError",
     "ideal_contains",
     "ideal_equal",
-    "ideal_membership",
     "ideal_quotient",
     "intersect_ideals",
     "module_groebner_basis",

@@ -20,7 +20,7 @@ from enum import Enum
 
 from . import limits
 from .errors import ResourceLimitError, WitnessError
-from .groebner import Ideal, ideal_sum
+from .groebner import Ideal, ideal_sum, single_term_exponents
 from .ideal_ops import ideal_contains, ideal_equal, intersect_ideals, radicals_equal
 from .linkage import (
     CyclicModule,
@@ -39,7 +39,6 @@ from .monomials import (
     associated_primes_monomial,
     intersect_primes,
     is_monomial_ideal,
-    monomial_exponents,
     monomial_radical,
     primes_containing,
 )
@@ -75,9 +74,6 @@ INAPPLICABLE = "inapplicable"
 class Verdict(Record):
     def __init__(self, check, status, details, witness, millis):
         self._set(locals())
-
-    def holds(self):
-        return self.status == HOLDS
 
 
 class Inapplicable(Exception):
@@ -213,9 +209,8 @@ def check_ass_containment(inst):
 
 def _squarefree_monomial(I):
     """Is I a squarefree monomial ideal (the zero ideal included)?"""
-    if not is_monomial_ideal(I):
-        return False
-    return all(all(e <= 1 for e in m) for m in monomial_exponents(I))
+    exps = single_term_exponents(I.groebner())
+    return exps is not None and all(e <= 1 for m in exps for e in m)
 
 
 def _pattern_applies(inst):

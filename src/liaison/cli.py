@@ -110,21 +110,20 @@ def _write(handle, text):
 def _cmd_run(args):
     with open(args.file) as handle:
         text = handle.read()
-    try:
-        with limits.run_context(degree=args.degree_cap):
+    with limits.run_context(degree=args.degree_cap):
+        try:
             parsed = parse_instance(text)
-    except ParseError as exc:
-        print(f"error: {args.file}: {exc}", file=sys.stderr)
-        return 2
-    # opened before the checks run, so an unwritable --out fails at once
-    with _output(args.out) as out:
-        with limits.run_context(degree=args.degree_cap):
+        except ParseError as exc:
+            print(f"error: {args.file}: {exc}", file=sys.stderr)
+            return 2
+        # opened before the checks run, so an unwritable --out fails at once
+        with _output(args.out) as out:
             verdicts = run_suite(parsed)
-        report = build_report(parsed, verdicts)
-        if args.format == "json":
-            _write(out, json.dumps(report, indent=2) + "\n")
-        else:
-            _write(out, render_markdown(report))
+            report = build_report(parsed, verdicts)
+            if args.format == "json":
+                _write(out, json.dumps(report, indent=2) + "\n")
+            else:
+                _write(out, render_markdown(report))
     return exit_code_for(verdicts)
 
 
@@ -149,15 +148,13 @@ def _cmd_compute(args):
     module = CyclicModule(ring, J)
 
     op = args.operation
+    if by is None and op in ("colon", "intersect", "aprime"):
+        raise ValueError(f"{op} needs --by")
     if op == "gb":
         print(gens_str(ideal))
     elif op == "colon":
-        if by is None:
-            raise ValueError("colon needs --by")
         print(gens_str(module.colon(ideal, by)))
     elif op == "intersect":
-        if by is None:
-            raise ValueError("intersect needs --by")
         print(gens_str(intersect_ideals(ideal, by)))
     elif op == "grade":
         print(grade_oracle(ideal, module))
@@ -176,13 +173,9 @@ def _cmd_compute(args):
         print(lo if lo == hi else f"[{lo}, {hi}]")
     elif op == "pd":
         print(pd_via_resolution(ideal))
-    elif op == "aprime":
-        if by is None:
-            raise ValueError("aprime needs --by (the linking regular sequence)")
+    else:  # aprime: argparse restricts the choices
         witness = RegularSequenceWitness(tuple(by.gens))
         print(gens_str(aprime_construct(ideal, by, module, witness)))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown operation {op}")
     return 0
 
 

@@ -102,9 +102,6 @@ class RationalField:
     def div(self, a, b):
         return _ratio(a.numerator * b.denominator, a.denominator * b.numerator)
 
-    def coeff_str(self, a):
-        return str(a)
-
     def __repr__(self):
         return "QQ"
 
@@ -159,9 +156,6 @@ class PrimeField:
         if b % self.p == 0:
             raise ZeroDivisionError("division by zero")
         return a * pow(b, -1, self.p) % self.p
-
-    def coeff_str(self, a):
-        return str(a)
 
     def __repr__(self):
         return f"FP({self.p})"

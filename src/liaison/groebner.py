@@ -389,11 +389,6 @@ class Ideal:
         return "Ideal(" + ", ".join(repr(g) for g in self.gens) + ")"
 
 
-def ideal_membership(f, I):
-    """f in I, decided against the cached reduced basis (Ideal.contains)."""
-    return I.contains(f)
-
-
 def ideal_sum(I, J):
     if I.ring != J.ring:
         raise RingMismatchError("ideal sum across rings")

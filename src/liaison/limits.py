@@ -1,7 +1,8 @@
 """Per-run resource caps and memo.
 
-A run (`checks.run_suite`, `liaison compute`) opens a RunContext, held in a
-context variable.  Every polynomial built is checked against a total-degree
+A run (`liaison run`, `checks.run_suite` nested inside it, `liaison compute`)
+opens a RunContext, held in a context variable; `_RUN.get()` is the open one,
+or None outside a run.  Every polynomial built is checked against a total-degree
 cap (the run's, else the default) and a term-count cap, every row that the
 Buchberger pair loop keeps against a coefficient-size cap, and blowing past
 any of them aborts with ResourceLimitError instead of grinding on.  The run
@@ -33,11 +34,6 @@ class RunContext:
             raise ValueError("degree cap must be positive")
         self.degree_cap = degree_cap
         self.memo = {}
-
-
-def current_run():
-    """The open RunContext, or None outside a run."""
-    return _RUN.get()
 
 
 def _degree_cap():

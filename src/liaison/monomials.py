@@ -17,7 +17,7 @@ ring and the generators of the radical.
 from itertools import combinations
 
 from .errors import ResourceLimitError
-from .groebner import Ideal, exps_in_monomial_ideal, minimalize_exponents
+from .groebner import Ideal, exps_in_monomial_ideal, minimalize_exponents, single_term_exponents
 from .ideal_ops import ideal_contains, intersect_ideals
 from .limits import memo
 from .record import Record
@@ -35,17 +35,14 @@ def monomial_exponents(I):
     its reduced basis consists of monomials, and that basis then is the unique
     minimal monomial generating set.
     """
-    gb = I.groebner()
-    exps = []
-    for g in gb:
-        if not g.is_monomial():
-            raise ValueError("not a monomial ideal")
-        exps.append(g.terms[0][0])
+    exps = single_term_exponents(I.groebner())
+    if exps is None:
+        raise ValueError("not a monomial ideal")
     return exps
 
 
 def is_monomial_ideal(I):
-    return all(g.is_monomial() for g in I.groebner())
+    return single_term_exponents(I.groebner()) is not None
 
 
 def _ideal_from_exponents(ring, exps):
@@ -154,7 +151,6 @@ def _field_rank(rows, field):
     zero = field.zero
     ncols = len(rows[0])
     rank = 0
-    col = 0
     for col in range(ncols):
         pivot = None
         for r in range(rank, len(rows)):

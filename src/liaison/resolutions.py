@@ -7,10 +7,10 @@ keeps the Hilbert length bound enforceable.  On homogeneous input the pruned
 resolution is minimal.  Ext and grade take the module, a cyclic M = R/J
 (linkage.CyclicModule; free_module(ring) is M = R): Ext^i(R/a, R/J) is read
 off the transposed resolution of R/a with kernels taken relative to
-J-multiples.  Within one run (limits.run_context), resolutions are memoized
-on the ring and the ordered distinct nonzero generators, on which their
-matrices depend, and Ext answers on the ring, the sets of nonzero generators
-of a and J, and the degree.
+J-multiples.  Within one run (limits.run_context), Ext is memoized as one
+entry per (ring, a, J), keyed on the sets of nonzero generators of a and J
+and holding every nonzero degree; resolutions are not memoized, since every
+caller in a run goes through that entry.
 
 grade_via_ext is the general grade route: it holds for every cyclic M, and
 linkage.grade_oracle takes it for M = R/J != R.  Over M = R the oracle takes
@@ -66,7 +66,8 @@ def _prune_units(prev_cols, cols):
             return prev_cols, cols
         c, r = pivot
         col = cols.pop(c)
-        inv = col[r].ring.field.inv(col[r].constant_coeff())
+        # a nonzero constant has the one term of exponent zero
+        inv = col[r].ring.field.inv(col[r].terms[0][1])
         for b, other in enumerate(cols):
             if other[r]:
                 factor = other[r].scale(inv)
@@ -82,8 +83,7 @@ def free_resolution(a):
     minimal.  Exceeding the Hilbert length bound would be an internal defect
     and aborts loudly.
     """
-    gens = tuple(dict.fromkeys(g for g in a.gens if not g.is_zero()))
-    return memo("resolution", (a.ring, gens), lambda: _resolve(a, gens))
+    return _resolve(a, tuple(dict.fromkeys(g for g in a.gens if not g.is_zero())))
 
 
 def _resolve(a, gens):
@@ -146,28 +146,27 @@ def ext_nonzero(i, a, M):
     """Is Ext^i(R/a, M) nonzero, for cyclic M = R/J?"""
     if i < 0:
         raise ValueError("negative Ext degree")
-    return _ext_nonzero(free_resolution(a), i, a, M.defining_ideal)
+    return i in nonzero_ext_degrees(a, M)
 
 
-def _ext_nonzero(res, i, a, J):
+def _ext_nonzero(res, i, J):
     """Ext^i(R/a, R/J) != 0, read off res, a resolution of R/a: some
     generator of the relative kernel lies outside the image."""
-    if i > res.length:
-        return False
-
-    def survives():
-        image = _image_basis(res, i, J)
-        return any(any(module_normal_form(v, image)) for v in _relative_kernel(res, i, J))
-
-    return memo("ext", (a.ring, a.gens_key(), J.gens_key(), i), survives)
+    image = _image_basis(res, i, J)
+    return any(any(module_normal_form(v, image)) for v in _relative_kernel(res, i, J))
 
 
 def nonzero_ext_degrees(a, M):
-    """The degrees i with Ext^i(R/a, M) != 0, ascending and lazily, all read
-    off one resolution of R/a."""
+    """The degrees i with Ext^i(R/a, M) != 0, ascending, all read off one
+    resolution of R/a; memoized for one run on the ring and the nonzero
+    generators of a and Ann M."""
     J = M.defining_ideal
-    res = free_resolution(a)
-    return (i for i in range(res.length + 1) if _ext_nonzero(res, i, a, J))
+
+    def degrees():
+        res = free_resolution(a)
+        return tuple(i for i in range(res.length + 1) if _ext_nonzero(res, i, J))
+
+    return memo("ext", (a.ring, a.gens_key(), J.gens_key()), degrees)
 
 
 def grade_via_ext(a, M):

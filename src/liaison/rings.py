@@ -182,13 +182,6 @@ class Polynomial:
         degs = {sum(e) for e, _ in self.terms}
         return len(degs) == 1
 
-    def constant_coeff(self):
-        zero_exps = (0,) * self.ring.nvars
-        for e, c in self.terms:
-            if e == zero_exps:
-                return c
-        return self.ring.field.zero
-
     # -- arithmetic ---------------------------------------------------------
 
     def _same_ring(self, other):
@@ -200,10 +193,7 @@ class Polynomial:
         return self.ring.poly(list(self.terms) + list(other.terms))
 
     def __sub__(self, other):
-        self._same_ring(other)
-        field = self.ring.field
-        neg = [(e, field.neg(c)) for e, c in other.terms]
-        return self.ring.poly(list(self.terms) + neg)
+        return self + -other
 
     def __neg__(self):
         field = self.ring.field
@@ -228,14 +218,8 @@ class Polynomial:
         if n < 0:
             raise ValueError("negative polynomial power")
         result = self.ring.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base_needed = n >> 1
-            if base_needed:
-                base = base * base
-            n = base_needed
+        for _ in range(n):
+            result = result * self
         return result
 
     def scale(self, coeff):
@@ -298,11 +282,11 @@ def poly_str(p):
             elif e > 1:
                 factors.append(f"{name}^{e}")
         if not factors:
-            body = field.coeff_str(mag)
+            body = str(mag)
         elif mag == field.one:
             body = "*".join(factors)
         else:
-            body = field.coeff_str(mag) + "*" + "*".join(factors)
+            body = str(mag) + "*" + "*".join(factors)
         if i == 0:
             chunks.append(body if sign == "+" else "-" + body)
         else:

@@ -17,7 +17,7 @@ from liaison.checks import CheckId, run_check
 from liaison.cli import main, report_schema
 from liaison.fields import QQ
 from liaison.generate import generate_instances
-from liaison.groebner import Ideal, ideal_membership, ideal_sum, reduced_groebner_basis
+from liaison.groebner import Ideal, ideal_sum, reduced_groebner_basis
 from liaison.ideal_ops import ideal_equal, intersect_ideals, radicals_equal
 from liaison.instancefile import parse_instance
 from liaison.linkage import (
@@ -95,7 +95,7 @@ def test_criterion_1_groebner_soundness():
             if reduced_groebner_basis(view) != reference:
                 failures += 1
         for g in gens:
-            if not ideal_membership(g, I):
+            if not I.contains(g):
                 failures += 1
     _criterion(
         1,

@@ -143,11 +143,11 @@ def test_degree_cap_exit_three(capsys, degree_four_file):
     assert code == 3
     from liaison.errors import ResourceLimitError
     from liaison.fields import QQ
-    from liaison.limits import DEFAULT_DEGREE_CAP, current_run
+    from liaison.limits import _RUN, DEFAULT_DEGREE_CAP
     from liaison.rings import PolyRing
 
     # outside a run the caps are the defaults again
-    assert current_run() is None
+    assert _RUN.get() is None
     x = PolyRing(QQ, ["x"]).gens()[0]
     assert sum((x**DEFAULT_DEGREE_CAP).terms[0][0]) == DEFAULT_DEGREE_CAP
     with pytest.raises(ResourceLimitError):
@@ -255,6 +255,14 @@ def test_compute_cd_undefined_exit_two(capsys, ideal, module, message):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.strip() == f"error: {message}"
+
+
+@pytest.mark.parametrize("op", ["colon", "intersect", "aprime"])
+def test_compute_without_by_exit_two(capsys, op):
+    assert main(["compute", op, "--ring", "QQ[x,y]", "--ideal", "x"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.strip() == f"error: {op} needs --by"
 
 
 def test_compute_cd_rejects_an_oracle_below_grade(capsys, monkeypatch):

@@ -103,7 +103,7 @@ def test_defaults_and_derived_fields():
     assert W.length == 2
     assert FreeResolution(R, (1, 1), (((X,),),)).length == 1
     assert AssociatedPrimes(frozenset({1}), frozenset({1})).is_unmixed()
-    assert Verdict(CheckId.L07, "holds", {}, None, 0.0).holds()
+    assert Verdict(CheckId.L07, "holds", {}, None, 0.0).status == "holds"
 
 
 def test_construction_validates():

@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import pytest
 
 from conftest import random_monomial_ideal, seeded, syzygy_oracle
-from liaison import resolutions
+from liaison import checks, limits, resolutions
 from liaison.fields import GF, QQ
 from liaison.groebner import Ideal, module_groebner_basis
+from liaison.instancefile import parse_instance
 from liaison.linkage import CyclicModule, free_module
 from liaison.monomials import (
     associated_primes_monomial,
@@ -14,6 +17,7 @@ from liaison.resolutions import (
     ext_nonzero,
     free_resolution,
     grade_via_ext,
+    nonzero_ext_degrees,
     pd_via_resolution,
 )
 from liaison.rings import PolyRing
@@ -187,6 +191,40 @@ def test_grade_outside_a_run_resolves_once(monkeypatch, flagship):
     # outside a run nothing is cached: a second call resolves again
     grade_via_ext(flagship, R)
     assert len(calls) == 2
+
+
+def test_ext_memo_keeps_the_module_apart(r2):
+    x, y = r2.gens()
+    m = Ideal(r2, (x, y))
+    modules = [free_module(r2), CyclicModule(r2, Ideal(r2, (x * y,)))]
+    fresh = [nonzero_ext_degrees(m, M) for M in modules]
+    # R/(xy) has depth 1 and pd 1 over R, so Ext^i(R/m, R/(xy)) lives in 1..2
+    assert fresh == [(2,), (1, 2)]
+    with limits.run_context():
+        assert [nonzero_ext_degrees(m, M) for M in modules + modules] == fresh + fresh
+
+
+def test_a_suite_resolves_once_per_ideal_and_module(monkeypatch):
+    flagship = Path(__file__).resolve().parent.parent / "corpus" / "flagship.link"
+    parsed = parse_instance(flagship.read_text())
+    resolved, asked = [], []
+    resolve, degrees = resolutions._resolve, resolutions.nonzero_ext_degrees
+
+    def counted(*args):
+        resolved.append(args)
+        return resolve(*args)
+
+    def recorded(a, M):
+        asked.append((a.ring, a.gens_key(), M.defining_ideal.gens_key()))
+        return degrees(a, M)
+
+    monkeypatch.setattr(resolutions, "_resolve", counted)
+    for module in (resolutions, checks):
+        monkeypatch.setattr(module, "nonzero_ext_degrees", recorded)
+    checks.run_suite(parsed)
+    # T8_MV and L5 ask the same Ext question; the second answer is the memo's
+    assert len(asked) > len(set(asked))
+    assert len(resolved) == len(set(asked))
 
 
 def test_grade_rejected_when_a_acts_as_unit(r2):

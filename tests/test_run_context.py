@@ -16,7 +16,7 @@ from liaison.ideal_ops import ideal_quotient, intersect_ideals
 from liaison.instancefile import parse_instance
 from liaison.linkage import CyclicModule, RegularSequenceWitness, validate_witness
 from liaison.monomials import cd_monomial
-from liaison.resolutions import ext_nonzero, free_resolution
+from liaison.resolutions import nonzero_ext_degrees
 
 FLAGSHIP = Path(__file__).resolve().parent.parent / "corpus" / "flagship.link"
 
@@ -59,7 +59,7 @@ def test_cli_runs_leave_no_context(capsys, degree_four_file):
         if cap is not None:
             argv += ["--degree-cap", cap]
         assert main(argv) == code
-        assert limits.current_run() is None
+        assert limits._RUN.get() is None
         reports.append(capsys.readouterr().out)
     # the capped run in between changed nothing for the third
     assert _without_millis(reports[0]) == _without_millis(reports[2])
@@ -84,7 +84,7 @@ def test_aborted_run_leaves_no_context_or_memo():
             assert limits.memo("kind", "key", compute) == "value"
             assert len(calls) == 1
             abort()
-    assert limits.current_run() is None
+    assert limits._RUN.get() is None
     limits.memo("kind", "key", compute)
     limits.memo("kind", "key", compute)
     assert len(calls) == 3  # outside a run nothing is cached
@@ -96,11 +96,11 @@ def test_nested_run_inherits_caps_with_a_fresh_memo():
         with limits.run_context() as inner:
             assert inner.degree_cap == 5
             assert inner.memo == {}
-        assert limits.current_run() is outer
+        assert limits._RUN.get() is outer
     with pytest.raises(ValueError, match="degree cap must be positive"):
         with limits.run_context(degree=0):
             pass
-    assert limits.current_run() is None
+    assert limits._RUN.get() is None
 
 
 def _recorded_runs(monkeypatch, texts):
@@ -118,7 +118,7 @@ def _recorded_runs(monkeypatch, texts):
     for text in texts:
         run_suite(parse_instance(text))
     monkeypatch.undo()
-    assert limits.current_run() is None
+    assert limits._RUN.get() is None
     return [run.memo for run in runs]
 
 
@@ -133,12 +133,9 @@ def _fresh(kind, key):
     if kind == "quotient":
         ring, I, J = key
         return ideal_quotient(Ideal(ring, I), Ideal(ring, J)).gens
-    if kind == "resolution":
-        ring, gens = key
-        return free_resolution(Ideal(ring, gens))
     if kind == "ext":
-        ring, a, J, i = key
-        return ext_nonzero(i, Ideal(ring, a), CyclicModule(ring, Ideal(ring, J)))
+        ring, a, J = key
+        return nonzero_ext_degrees(Ideal(ring, a), CyclicModule(ring, Ideal(ring, J)))
     if kind == "cd":
         ring, gens = key
         return cd_monomial(Ideal(ring, gens))
@@ -170,7 +167,6 @@ def test_memo_is_transparent_and_deterministic(monkeypatch):
         "intersect",
         "quotient",
         "witness",
-        "resolution",
         "ext",
         "cd",
     }
