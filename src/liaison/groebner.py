@@ -335,24 +335,33 @@ def reduced_groebner_basis(gens):
 
 
 class Ideal:
-    """Finitely generated ideal with a write-once reduced-basis cache.
+    """Finitely generated ideal with write-once reduced-basis and key caches.
 
     The run memo also holds reduced bases, but a lookup there builds, hashes
     and compares a key of all the generators; the slot makes repeated
     groebner() calls on one Ideal, as membership tests make, a plain read.
-    The basis is a function of the generators, so the slot never goes stale.
+    Basis and key are functions of the generators, so neither slot goes stale.
     """
 
-    __slots__ = ("ring", "gens", "_gb")
+    __slots__ = ("ring", "gens", "_gb", "_key")
 
     def __init__(self, ring, gens):
         gens = tuple(gens)
         for g in gens:
-            if g.ring != ring:
+            if g.ring is not ring and g.ring != ring:
                 raise RingMismatchError("generator from a different ring")
         self.ring = ring
         self.gens = gens
         self._gb = None
+        self._key = None
+
+    @classmethod
+    def reduced(cls, ring, basis):
+        """The ideal generated by basis, a tuple that is already its reduced
+        basis (as reduced_groebner_basis returns it), so groebner() is basis."""
+        ideal = cls(ring, basis)
+        ideal._gb = basis
+        return ideal
 
     def groebner(self):
         if self._gb is None:
@@ -361,7 +370,9 @@ class Ideal:
 
     def gens_key(self):
         """The nonzero generators: with the ring, a memo key for the ideal."""
-        return frozenset(g for g in self.gens if not g.is_zero())
+        if self._key is None:
+            self._key = frozenset(g for g in self.gens if not g.is_zero())
+        return self._key
 
     def contains(self, f):
         """f in the ideal.  Over a reduced basis of monomials, exactly when

@@ -50,7 +50,7 @@ def _colon(ring, v, ideals):
     one row v relative to the ideals, read off with the reduced bases of the
     Ij as known rows whose pairs Buchberger skips."""
     firsts = [s[0] for s in syzygy_module([tuple(v)], ideals)]
-    return Ideal(ring, reduced_groebner_basis(firsts))
+    return Ideal.reduced(ring, reduced_groebner_basis(firsts))
 
 
 def intersect_ideals(I, J):
@@ -66,7 +66,7 @@ def _intersect(I, J):
     if a is None or b is None:
         return _colon(ring, (ring.one, ring.one), (I, J))
     exps = sorted(intersect_exponents(a, b), key=ring.key, reverse=True)
-    return Ideal(ring, tuple(ring.monomial(e) for e in exps))
+    return Ideal.reduced(ring, tuple(ring.monomial(e) for e in exps))
 
 
 def ideal_quotient(I, J):
@@ -89,7 +89,7 @@ def _quotient(I, gens):
     for g in gens:
         m = g.terms[0][0]
         firsts = [ring.monomial(tuple(max(x - y, 0) for x, y in zip(e, m))) for e in exps]
-        q = Ideal(ring, reduced_groebner_basis(firsts))
+        q = Ideal.reduced(ring, reduced_groebner_basis(firsts))
         result = q if result is None else intersect_ideals(result, q)
     return result
 

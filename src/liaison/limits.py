@@ -22,6 +22,8 @@ TERM_CAP = 200_000
 COEFF_BITS_CAP = 16_384
 
 _RUN = ContextVar("liaison_run", default=None)
+# A memo miss; None cannot mark one, since valid witnesses memoize None.
+_MISSING = object()
 
 
 class RunContext:
@@ -59,9 +61,10 @@ def memo(kind, key, compute):
     if run is None:
         return compute()
     slot = (kind, key)
-    if slot not in run.memo:
-        run.memo[slot] = compute()
-    return run.memo[slot]
+    value = run.memo.get(slot, _MISSING)
+    if value is _MISSING:
+        value = run.memo[slot] = compute()
+    return value
 
 
 def check_terms(n_terms, max_degree):

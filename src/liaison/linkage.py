@@ -54,8 +54,8 @@ class CyclicModule(Record):
         return self.defining_ideal.is_zero()
 
     def plus_ann(self, I):
-        """I + Ann M, the largest ideal q with qM = IM."""
-        return ideal_sum(I, self.defining_ideal)
+        """I + Ann M, the largest ideal q with qM = IM: I itself over M = R."""
+        return I if self.is_free() else ideal_sum(I, self.defining_ideal)
 
     def kills(self, I):
         """Is IM = M, that is, is I + Ann M the unit ideal?"""

@@ -46,7 +46,7 @@ class PolyRing:
     its sort key and remembers it.
     """
 
-    __slots__ = ("field", "vars", "order", "key", "_index")
+    __slots__ = ("field", "vars", "order", "key", "_index", "_hash")
 
     def __init__(self, field, variables, order="grevlex"):
         variables = tuple(variables)
@@ -64,6 +64,7 @@ class PolyRing:
         self.order = order
         self.key = _KeyCache(_KEYS[order]).__getitem__
         self._index = {v: i for i, v in enumerate(variables)}
+        self._hash = hash((field, variables, order))
 
     @property
     def nvars(self):
@@ -80,7 +81,7 @@ class PolyRing:
         )
 
     def __hash__(self):
-        return hash((self.field, self.vars, self.order))
+        return self._hash
 
     def __repr__(self):
         return f"{self.field}[{', '.join(self.vars)}] {self.order}"
@@ -129,9 +130,17 @@ class PolyRing:
         return self.from_dict({(0,) * self.nvars: self.field.one})
 
     def monomial(self, exps, coeff=None):
-        if coeff is None:
-            coeff = self.field.one
-        return self.poly([(tuple(exps), coeff)])
+        """The one-term polynomial coeff*x^exps (coeff 1 if None), built as
+        poly builds it but without the term dict."""
+        exps = tuple(exps)
+        if len(exps) != len(self.vars):
+            raise ValueError("exponent tuple length does not match ring")
+        field = self.field
+        coeff = field.one if coeff is None else field.add(field.zero, coeff)
+        if coeff == field.zero:
+            return Polynomial(self, ())
+        limits.check_terms(1, sum(exps))
+        return Polynomial(self, ((exps, coeff),))
 
     def gen(self, i):
         exps = [0] * self.nvars
