@@ -10,10 +10,12 @@ A Singular Introduction to Commutative Algebra, sec. 1.8): I cap J is
 (I*e1 + J*e2) : (1, 1) and I : (g1, ..., gl) is (I*e1 + ... + I*el) :
 (g1, ..., gl), the syzygies of the one row relative to the ideals, whose
 reduced bases enter Buchberger as known rows whose pairs it skips.  f lies
-in sqrt(I) when I : f^infinity is the unit ideal.  Both
-intersection and quotient return reduced bases in the ring's order, so
-within one run they are memoized on the ring and the sets of nonzero
-generators, on whose ideals alone their results depend.
+in sqrt(I) when it lies in I, else when I : f^infinity is the unit ideal.
+Both intersection and quotient return reduced bases in the ring's order and
+depend only on the ideals, so within one run they are memoized on the ring
+and the reduced bases of both operands: equal ideals given by different
+generators share one entry.  Containment is memoized on I's basis and J's
+nonzero generators.
 """
 
 from .errors import RingMismatchError
@@ -42,7 +44,8 @@ def ideal_equal(I, J):
 def ideal_contains(I, J):
     """Is J a subset of I? (every generator of J reduces to zero mod I)."""
     _check_same_ring(I, J)
-    return all(I.contains(g) for g in J.gens)
+    key = (I.ring, I.groebner(), J.gens_key())
+    return memo("contains", key, lambda: all(I.contains(g) for g in J.gens))
 
 
 def _colon(ring, v, ideals):
@@ -56,7 +59,7 @@ def _colon(ring, v, ideals):
 def intersect_ideals(I, J):
     """I cap J, as its reduced basis in the ring's order."""
     _check_same_ring(I, J)
-    key = (I.ring, I.gens_key(), J.gens_key())
+    key = (I.ring, I.groebner(), J.groebner())
     return memo("intersect", key, lambda: _intersect(I, J))
 
 
@@ -76,7 +79,7 @@ def ideal_quotient(I, J):
     gens = list(dict.fromkeys(g for g in J.gens if not g.is_zero()))
     if not gens:
         raise ValueError("quotient by the zero ideal")
-    key = (I.ring, I.gens_key(), J.gens_key())
+    key = (I.ring, I.groebner(), J.groebner())
     return memo("quotient", key, lambda: _quotient(I, gens))
 
 
@@ -108,14 +111,15 @@ def saturate(I, J):
 
 def radical_membership(f, I):
     """f in sqrt(I): for monomial I term by term, since sqrt(I) is monomial;
-    otherwise by whether I : f^infinity is the unit ideal."""
+    otherwise when f is in I, else by whether I : f^infinity is the unit
+    ideal."""
     if f.ring != I.ring:
         raise RingMismatchError("radical membership across rings")
     if f.is_zero():
         return True
     exps = single_term_exponents(I.gens)
     if exps is None:
-        return saturate(I, Ideal(I.ring, (f,))).is_unit()
+        return I.contains(f) or saturate(I, Ideal(I.ring, (f,))).is_unit()
     supports = [tuple(min(x, 1) for x in g) for g in exps]
     return exps_in_monomial_ideal(supports, (e for e, _ in f.terms))
 

@@ -5,7 +5,8 @@ and (I + J) : a, and CyclicModule is the one place that builds them.  Every
 predicate here reduces to exact ideal arithmetic through it: a and b are
 linked by I over M iff M.colon(I, a) = M.plus_ann(b) and M.colon(I, b) =
 M.plus_ann(a), geometrically linked iff additionally M.plus_ann(a) cap
-M.plus_ann(b) = M.plus_ann(I).
+M.plus_ann(b) = M.plus_ann(I).  Within one run the witness check and the
+linkage test are memoized, each with the WitnessError message it raised.
 
 cd_oracle and grade_oracle are the one places that pick a cd route and a
 grade route for (a, M); the checks and the CLI ask them and nothing else.
@@ -147,7 +148,20 @@ def _check_link_preconditions(a, b, I, M, witness):
 
 def is_linked(a, b, I, M, witness):
     """a ~ b by I over M: IM :_M a = bM and IM :_M b = aM."""
-    _check_link_preconditions(a, b, I, M, witness)
+    gens_keys = (x.gens_key() for x in (a, b, I, M.defining_ideal))
+    key = (M.ring, *gens_keys, witness.elements)
+    linked = memo("linked", key, lambda: _linked(a, b, I, M, witness))
+    if isinstance(linked, str):
+        raise WitnessError(linked)
+    return linked
+
+
+def _linked(a, b, I, M, witness):
+    """Whether a ~ b by I over M, or why the preconditions fail."""
+    try:
+        _check_link_preconditions(a, b, I, M, witness)
+    except WitnessError as exc:
+        return str(exc)
     linked = ideal_equal(M.colon(I, a), M.plus_ann(b))
     return linked and ideal_equal(M.colon(I, b), M.plus_ann(a))
 

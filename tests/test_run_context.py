@@ -12,9 +12,14 @@ from liaison.checks import run_suite
 from liaison.cli import main
 from liaison.errors import ResourceLimitError, WitnessError
 from liaison.groebner import Ideal, reduced_groebner_basis
-from liaison.ideal_ops import ideal_quotient, intersect_ideals
+from liaison.ideal_ops import ideal_contains, ideal_quotient, intersect_ideals
 from liaison.instancefile import parse_instance
-from liaison.linkage import CyclicModule, RegularSequenceWitness, validate_witness
+from liaison.linkage import (
+    CyclicModule,
+    RegularSequenceWitness,
+    is_linked,
+    validate_witness,
+)
 from liaison.monomials import cd_monomial
 from liaison.resolutions import nonzero_ext_degrees
 
@@ -139,6 +144,21 @@ def _fresh(kind, key):
     if kind == "cd":
         ring, gens = key
         return cd_monomial(Ideal(ring, gens))
+    if kind == "contains":
+        ring, I, J = key
+        return ideal_contains(Ideal(ring, I), Ideal(ring, J))
+    if kind == "linked":
+        ring, a, b, I, J, elements = key
+        try:
+            return is_linked(
+                Ideal(ring, a),
+                Ideal(ring, b),
+                Ideal(ring, I),
+                CyclicModule(ring, Ideal(ring, J)),
+                RegularSequenceWitness(elements),
+            )
+        except WitnessError as exc:
+            return str(exc)
     ring, elements, I, J = key
     try:
         validate_witness(
@@ -169,7 +189,13 @@ def test_memo_is_transparent_and_deterministic(monkeypatch):
         "witness",
         "ext",
         "cd",
+        "contains",
+        "linked",
     }
+
+
+def _entries(run, kind):
+    return [slot for slot in run.memo if slot[0] == kind]
 
 
 def test_memo_keys_keep_apart_what_computation_does(r3):
@@ -182,9 +208,57 @@ def test_memo_keys_keep_apart_what_computation_does(r3):
     one = r3.one
     seq = (x, y * (one - x), z * (one - x))
     M = CyclicModule(r3, Ideal(r3, ()))
-    with limits.run_context():
+    with limits.run_context() as run:
         assert [ideal_quotient(I, Ideal(r3, J)).gens for J in ((f,), (f, f))] == fresh
+        assert len(_entries(run, "quotient")) == 1
+        # (x) is the same ideal, so the same entry answers
+        assert ideal_quotient(I, Ideal(r3, (x,))).gens == fresh[0]
+        assert len(_entries(run, "quotient")) == 1
         validate_witness(RegularSequenceWitness(seq), Ideal(r3, seq), M)
         with pytest.raises(WitnessError, match="not an M-regular sequence"):
             permuted = seq[1:] + seq[:1]
             validate_witness(RegularSequenceWitness(permuted), Ideal(r3, seq), M)
+
+
+def test_colon_and_intersection_answer_by_ideal_not_generators(r3):
+    x, y, z = r3.gens()
+    I = Ideal(r3, (x**2 - y * z, y**2))
+    # two generating sets of the one ideal (x + y, z)
+    gensets = ((x + y, z), (x + y + z, z, (x + y) * z))
+    Js = [Ideal(r3, gens) for gens in gensets]
+    fresh = {op: op(I, Js[0]).gens for op in (ideal_quotient, intersect_ideals)}
+    assert all(op(I, J).gens == gens for J in Js for op, gens in fresh.items())
+    with limits.run_context() as run:
+        for op, gens in fresh.items():
+            first, second = (op(I, J) for J in Js)
+            assert first.gens == gens
+            assert second is first  # the second generating set hits the entry
+        assert len(_entries(run, "quotient")) == len(_entries(run, "intersect")) == 1
+
+
+def test_linkage_memo_keeps_witnesses_apart(r4):
+    x, y, z, w = r4.gens()
+    one = r4.one
+    # x, y(1-x), z(1-x), w^2 is R-regular and generates (x, y, z, w^2);
+    # in the order y(1-x), z(1-x), w^2, x it is not regular
+    seq = (x, y * (one - x), z * (one - x), w**2)
+    valid = RegularSequenceWitness(seq)
+    invalid = RegularSequenceWitness(seq[1:] + seq[:1])
+    I = Ideal(r4, seq)
+    a = b = Ideal(r4, (x, y, z, w))  # self-linked by I
+    M = CyclicModule(r4, Ideal(r4, ()))
+    assert is_linked(a, b, I, M, valid) is True
+    with pytest.raises(WitnessError) as outside:
+        is_linked(a, b, I, M, invalid)
+    message = str(outside.value)
+    assert "not an M-regular sequence" in message
+    for order in ((valid, invalid), (invalid, valid)):
+        with limits.run_context() as run:
+            for witness in order + order:  # a miss, then a hit, for each
+                if witness is valid:
+                    assert is_linked(a, b, I, M, witness) is True
+                else:
+                    with pytest.raises(WitnessError) as inside:
+                        is_linked(a, b, I, M, witness)
+                    assert str(inside.value) == message
+            assert len(_entries(run, "linked")) == 2

@@ -2,17 +2,24 @@
 against the general path each one stands in for: the reduced basis that an
 operation's result carries against a fresh reduced basis of its generators,
 PolyRing.monomial against PolyRing.poly, and the identities that the ring
-hash, the generator key, the memo and CyclicModule.plus_ann rely on."""
+hash, the generator key, the memo and CyclicModule.plus_ann rely on; and
+radical membership by plain membership against the saturation."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
-from liaison import limits
+from liaison import ideal_ops, limits
 from liaison.checks import run_suite
 from liaison.errors import ResourceLimitError
 from liaison.fields import GF, QQ
-from liaison.groebner import Ideal, ideal_sum, reduced_groebner_basis
+from liaison.groebner import (
+    Ideal,
+    ideal_sum,
+    reduced_groebner_basis,
+    single_term_exponents,
+)
 from liaison.ideal_ops import ideal_equal
 from liaison.instancefile import parse_instance
 from liaison.linkage import CyclicModule, free_module
@@ -122,3 +129,51 @@ def test_memo_computes_a_none_value_once():
         assert limits.memo("witness", "key", compute) is None
         assert limits.memo("witness", "key", compute) is None
     assert len(calls) == 1
+
+
+def test_radical_membership_of_a_member_needs_no_saturation(r3, monkeypatch):
+    x, y, z = r3.gens()
+    I = Ideal(r3, (x**2 - y * z, y**2, z**2))
+
+    def no_saturation(I, J):
+        raise AssertionError("saturated")
+
+    monkeypatch.setattr(ideal_ops, "saturate", no_saturation)
+    f = x * (x**2 - y * z) + z * y**2
+    assert ideal_ops.radical_membership(f, I)
+    # x is in sqrt(I) (x^4 = y^2 z^2 mod I) but not in I: that one saturates
+    with pytest.raises(AssertionError, match="saturated"):
+        ideal_ops.radical_membership(x, I)
+
+
+def test_radical_membership_shortcut_agrees_with_the_saturation(
+    reference_workload_files, monkeypatch
+):
+    asked = {}
+    true_membership = ideal_ops.radical_membership
+
+    def recording(f, I):
+        if single_term_exponents(I.gens) is None:
+            asked.setdefault((f, I.ring, I.gens_key()), (f, I))
+        return true_membership(f, I)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "radical_membership", None) is true_membership:
+            monkeypatch.setattr(module, "radical_membership", recording)
+    texts = [p.read_text() for paths in reference_workload_files.values() for p in paths]
+    for text in texts + list(_fuzz_texts()):
+        try:
+            parsed = parse_instance(text)
+        except ResourceLimitError:
+            continue
+        run_suite(parsed)
+    monkeypatch.undo()
+    # 119 distinct questions, 97 of them with f in I; the floors leave a
+    # margin
+    questions = list(asked.values())
+    members = sum(I.contains(f) for f, I in questions)
+    assert len(questions) >= 100
+    assert members >= 80 and len(questions) - members >= 15
+    for f, I in questions:
+        saturated = ideal_ops.saturate(I, Ideal(I.ring, (f,))).is_unit()
+        assert ideal_ops.radical_membership(f, I) == saturated, (f, I)
