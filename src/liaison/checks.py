@@ -13,6 +13,10 @@ the details and ANDs it into `ok`.  So the verdict holds exactly when every
 clause it recorded holds; a clause recorded as "skipped (<reason>)" is a plain
 detail and decides nothing.  Every detail value is a list, an int, a bool, a
 str or None, and reports write the details as they are.
+
+The views L1, L5, C3_E3 and C4 ask for one clause of L07, T8_MV, T5_CD or
+APRIME_T7 alone and run the parent's clause code; a clause function takes the
+key to record under, and L5 and C3_E3 pass None, as their reports show none.
 """
 
 import time
@@ -39,7 +43,6 @@ from .monomials import (
     associated_primes_monomial,
     intersect_primes,
     is_monomial_ideal,
-    monomial_radical,
     primes_containing,
 )
 from .record import Record
@@ -88,8 +91,8 @@ class _Details(dict):
     decided = False  # has any clause been recorded?
 
     def clause(self, key, holds):
-        """Record one clause; key None decides without a detail (L5 keeps
-        the clauses it restates from T8_MV out of its details)."""
+        """Record one clause; key None decides without a detail (L5 and
+        C3_E3 report their decision, not their parents' keys)."""
         if key is not None:
             self[key] = holds
         self.ok = self.ok and holds
@@ -213,33 +216,27 @@ def _squarefree_monomial(I):
     return exps is not None and all(e <= 1 for m in exps for e in m)
 
 
-def _pattern_applies(inst):
-    """The relative-CM setting of the vanishing pattern: M = R, a squarefree."""
-    return inst.module.is_free() and _squarefree_monomial(inst.a)
+def _pattern_clauses(inst, b, cd_ab, grade_ab, d, pattern_key=None, zero_link_key=None):
+    """T8_MV's vanishing-pattern and zero-link clauses, under its keys.
 
-
-def _vanishing_pattern(inst, grade_ab, d, key):
-    """The clause that Ext^i(R/a, R) is nonzero only for i in {grade a,
-    grade(a + b)}, recorded under key.  The degrees come from Ext and the
-    grades from grade_oracle, which over M = R reads heights, so neither side
-    restates the other."""
-    degrees = set(nonzero_ext_degrees(inst.a, inst.module))
-    allowed = {grade_oracle(inst.a, inst.module), grade_ab}
-    d["nonvanishing_degrees"] = sorted(degrees)
-    d["allowed_degrees"] = sorted(allowed)
-    d.clause(key, degrees <= allowed)
-
-
-def _zero_link_cd(inst, b, d, key):
-    """For I = 0 and principal a, the clause cd(a, M) = cd(a, M/bM), recorded
-    under key; nothing otherwise."""
-    if not inst.I.is_zero() or len(inst.a.groebner()) != 1:
-        return
-    lhs = cd_oracle(inst.a, inst.module)
-    rhs = cd_oracle(inst.a, CyclicModule(inst.ring, inst.module.plus_ann(b)))
-    d["cd_a_on_M"] = lhs
-    d["cd_a_on_M_mod_bM"] = rhs
-    d.clause(key, lhs == rhs)
+    In the relative-CM setting (M = R, a squarefree, and cd(a + b) equal to
+    grade_ab(), read last), Ext^i(R/a, R) is nonzero only for i in {grade a,
+    grade(a + b)}: the degrees come from Ext and the grades from grade_oracle,
+    which over M = R reads heights, so neither side restates the other.  For
+    I = 0 and principal a, cd(a, M) = cd(a, M/bM)."""
+    M = inst.module
+    if cd_ab is not None and M.is_free() and _squarefree_monomial(inst.a) and cd_ab == grade_ab():
+        degrees = set(nonzero_ext_degrees(inst.a, M))
+        allowed = {grade_oracle(inst.a, M), cd_ab}  # here cd(a + b) = grade(a + b)
+        d["nonvanishing_degrees"] = sorted(degrees)
+        d["allowed_degrees"] = sorted(allowed)
+        d.clause(pattern_key, degrees <= allowed)
+    if inst.I.is_zero() and len(inst.a.groebner()) == 1:
+        lhs = cd_oracle(inst.a, M)
+        rhs = cd_oracle(inst.a, CyclicModule(inst.ring, M.plus_ann(b)))
+        d["cd_a_on_M"] = lhs
+        d["cd_a_on_M_mod_bM"] = rhs
+        d.clause(zero_link_key, lhs == rhs)
 
 
 def check_mv_bound(inst):
@@ -267,12 +264,9 @@ def check_mv_bound(inst):
         d.clause("bound_holds", holds)
 
     if cd_ab is not None:
-        grade_ab = grade_oracle(ab, M)
-        d["grade_a_plus_b"] = grade_ab
-        if cd_ab == grade_ab and _pattern_applies(inst):
-            _vanishing_pattern(inst, grade_ab, d, "vanishing_pattern_holds")
-
-    _zero_link_cd(inst, b, d, "zero_link_cd_equal")
+        d["grade_a_plus_b"] = grade_oracle(ab, M)
+    keys = "vanishing_pattern_holds", "zero_link_cd_equal"
+    _pattern_clauses(inst, b, cd_ab, lambda: d["grade_a_plus_b"], d, *keys)
     if not d.decided:
         raise Inapplicable("no cd oracle applies to this instance")
     return d.ok, d, {"b": gens_str(b)}
@@ -285,14 +279,7 @@ def check_vanishing_pattern(inst):
     ab = _require_proper_sum(inst, b)
     d = _Details()
     cd_ab = cd_oracle(ab, inst.module)
-    if cd_ab is not None and _pattern_applies(inst):
-        grade_ab = grade_oracle(ab, inst.module)
-        if cd_ab == grade_ab:
-            _vanishing_pattern(inst, grade_ab, d, None)
-        else:
-            d["relative_cm"] = False
-
-    _zero_link_cd(inst, b, d, None)
+    _pattern_clauses(inst, b, cd_ab, lambda: grade_oracle(ab, inst.module), d)
     if not d.decided:
         raise Inapplicable("neither vanishing-pattern hypothesis applies")
     return d.ok, d, {"b": gens_str(b)}
@@ -364,35 +351,36 @@ def check_cd_formula(inst):
     geometric = is_geometrically_linked(inst.a, b, inst.I, M, inst.witness)
     d["geometric"] = geometric
     if geometric:
-        in_v_b = primes_containing(b, primes)
-        d.clause("excluded_eq_v_b", excluded == in_v_b)
-        d["ass_in_v_b"] = _primes_str(in_v_b)
+        _excluded_eq_v_b(b, primes, excluded, d, "excluded_eq_v_b")
         if cd_a is not None:
             d["partner_invariant"] = 1 if cd_a == grade_a else cd_a - grade_a
     return d.ok, d, {"b": gens_str(b)}
 
 
-def check_e3_identity(inst):
-    """T5_CD's `excluded_eq_v_b` clause alone: the excluded-primes identity
-    for geometric links, with the derived cd formula value recorded when M is
-    not relative Cohen-Macaulay wrt a."""
-    b = _require_geometric(inst)
-    M = inst.module
-    primes, _, excluded = _unmixed_ass(inst)
+def _excluded_eq_v_b(b, primes, excluded, d, key):
+    """The clause, for a geometric partner b, that the excluded primes are
+    exactly the associated primes containing b, recorded under key."""
     in_v_b = primes_containing(b, primes)
-    ok = excluded == in_v_b
-    details = {
-        "excluded_primes": _primes_str(excluded),
-        "ass_in_v_b": _primes_str(in_v_b),
-    }
-    cd_a = cd_oracle(inst.a, M)
+    d.clause(key, excluded == in_v_b)
+    d["ass_in_v_b"] = _primes_str(in_v_b)
+
+
+def check_e3_identity(inst):
+    """T5_CD's `excluded_eq_v_b` clause alone, without its key: the
+    excluded-primes identity for geometric links, with the derived cd
+    formula value recorded when M is not relative Cohen-Macaulay wrt a."""
+    b = _require_geometric(inst)
+    primes, _, excluded = _unmixed_ass(inst)
+    d = _Details(excluded_primes=_primes_str(excluded))
+    _excluded_eq_v_b(b, primes, excluded, d, None)
+    cd_a = cd_oracle(inst.a, inst.module)
     if cd_a is not None:
-        grade_a = grade_oracle(inst.a, M)
+        grade_a = grade_oracle(inst.a, inst.module)
         if cd_a == grade_a:
-            details["relative_cm_wrt_a"] = True
+            d["relative_cm_wrt_a"] = True
         else:
-            details["derived_cd_formula_value"] = cd_a - grade_a
-    return ok, details, {"b": gens_str(b)}
+            d["derived_cd_formula_value"] = cd_a - grade_a
+    return d.ok, d, {"b": gens_str(b)}
 
 
 # -- a' construction --------------------------------------------------------------
@@ -464,7 +452,7 @@ def check_aprime(inst):
         # strictly inside a'; nothing to test against this linking ideal
         raise Inapplicable("a' collapses to I; the sequence is not strict")
     d.clause("s_membership", s_membership(ap, inst.I, M, inst.witness))
-    d.clause("radical", ideal_equal(ap, monomial_radical(ap)))
+    d.clause("radical", _squarefree_monomial(ap))
 
     if inst.alternate is not None:
         alt_I, alt_witness = inst.alternate
@@ -496,7 +484,7 @@ def check_aprime(inst):
 
     aJ = M.plus_ann(inst.a)
     if b is not None and _squarefree_monomial(aJ):
-        d.clause("sqrt_a_equals_aprime", ideal_equal(aJ, apJ))
+        d.clause("sqrt_a_equals_aprime", radicals_equal(aJ, ap))
     return d.ok, d, {"aprime": gens_str(ap), "b": b and gens_str(b)}
 
 

@@ -1,13 +1,20 @@
 import importlib.util
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import liaison.checks as checks_mod
+import liaison.linkage as linkage_mod
+from liaison import ideal_ops
+from liaison.checks import run_suite
+from liaison.errors import ResourceLimitError
 from liaison.fields import QQ
-from liaison.groebner import Ideal, module_groebner_basis, unit_vector
+from liaison.groebner import Ideal, module_groebner_basis, single_term_exponents, unit_vector
 from liaison.instancefile import parse_instance
+from liaison.monomials import monomial_radical
 from liaison.rings import PolyRing
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
@@ -171,3 +178,101 @@ def reference_workload_files(tmp_path_factory):
         )
         files[workload] = built.files
     return files
+
+
+def _fuzz_texts():
+    """The texts of test_fuzz's files, seed by seed."""
+    # imported on use: test_fuzz imports this module
+    from test_fuzz import (
+        ALTERNATE_SEEDS,
+        FILES_PER_SEED,
+        LINKED_SEEDS,
+        PARTNER_SEEDS,
+        SEEDS,
+        linked_instance,
+        random_instance,
+    )
+
+    for seed in SEEDS + PARTNER_SEEDS:
+        rng = random.Random(seed)
+        partners = seed in PARTNER_SEEDS
+        yield from (random_instance(rng, partners) for _ in range(FILES_PER_SEED))
+    for seed in LINKED_SEEDS + ALTERNATE_SEEDS:
+        rng = random.Random(seed)
+        alternate = seed in ALTERNATE_SEEDS
+        yield from (linked_instance(rng, alternate) for _ in range(FILES_PER_SEED))
+
+
+def _monomial_basis(I):
+    gb = I.groebner()
+    return bool(gb) and all(len(g.terms) == 1 for g in gb)
+
+
+@pytest.fixture(scope="session")
+def workload_pass(reference_workload_files):
+    """One run_suite of each reference-seed workload file and then of each
+    fuzz file, recording what the workload-wide differential tests compare
+    against the general routes; each question is kept once, as first asked:
+    - "grades": the ideals over M = R that the checks ask grade_oracle for;
+    - "radicals": the radicals that cd_monomial reduces to, on the workload
+      files only;
+    - "members": the (I, f) that Ideal.contains answers over a reduced basis
+      of monomials;
+    - "carried": each result of Ideal.reduced, by (ring, gens, basis);
+    - "radical_questions": the (f, I) that radical_membership answers for an
+      I with a generator that is not a monomial;
+    - "runs": each file's (directives, verdicts)."""
+    seen = {key: {} for key in ("grades", "radicals", "members", "carried", "radical_questions")}
+    runs = []
+    true_grade, true_cd = checks_mod.grade_oracle, linkage_mod.cd_monomial
+    true_contains, true_reduced = Ideal.contains, Ideal.reduced.__func__
+    true_membership = ideal_ops.radical_membership
+
+    def recording_grade(a, M):
+        if M.is_free() and not a.is_unit():
+            seen["grades"].setdefault((a.ring, a.gens_key()), a)
+        return true_grade(a, M)
+
+    def recording_cd(a):
+        if not a.is_unit():
+            radical = monomial_radical(a)
+            seen["radicals"].setdefault((a.ring, radical.gens_key()), radical)
+        return true_cd(a)
+
+    def recording_contains(I, f):
+        if _monomial_basis(I):
+            seen["members"].setdefault((I.ring, I.groebner(), f), I)
+        return true_contains(I, f)
+
+    def recording_reduced(cls, ring, basis):
+        ideal = true_reduced(cls, ring, basis)
+        seen["carried"].setdefault((ring, ideal.gens, ideal.groebner()), ideal)
+        return ideal
+
+    def recording_membership(f, I):
+        if single_term_exponents(I.gens) is None:
+            seen["radical_questions"].setdefault((f, I.ring, I.gens_key()), (f, I))
+        return true_membership(f, I)
+
+    def run(text):
+        try:
+            parsed = parse_instance(text)
+        except ResourceLimitError:
+            return
+        runs.append((parsed.directives, run_suite(parsed)))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checks_mod, "grade_oracle", recording_grade)
+        mp.setattr(Ideal, "contains", recording_contains)
+        mp.setattr(Ideal, "reduced", classmethod(recording_reduced))
+        for module in list(sys.modules.values()):
+            if getattr(module, "radical_membership", None) is true_membership:
+                mp.setattr(module, "radical_membership", recording_membership)
+        mp.setattr(linkage_mod, "cd_monomial", recording_cd)
+        for paths in reference_workload_files.values():
+            for path in paths:
+                run(path.read_text())
+        mp.setattr(linkage_mod, "cd_monomial", true_cd)
+        for text in _fuzz_texts():
+            run(text)
+    return {**seen, "runs": runs}

@@ -509,13 +509,14 @@ def test_corpus_report_matches_pinned_digest(name, capsys):
 
 
 @pytest.mark.parametrize("workload", ["gen-wide", "nonmonomial"])
-def test_generated_reports_match_pinned_digests(workload, tmp_path, monkeypatch, capsys):
-    # the benchmark's reference-seed inputs, built the way the benchmark does
+def test_generated_reports_match_pinned_digests(
+    workload, reference_workload_files, monkeypatch, capsys
+):
     run = load_perfbench("run", monkeypatch)
-    built = run.workloads.build(workload, run.REFERENCE_SEED, ROOT, tmp_path, run.child_env())
+    files = reference_workload_files[workload]
     pinned = run.load_reference()[workload]
-    assert sorted(p.name for p in built.files) == sorted(pinned)
-    for path in built.files:
+    assert sorted(p.name for p in files) == sorted(pinned)
+    for path in files:
         code = main(["run", str(path), "--format", "json"])
         digest = run.sha(run.normalized(json.loads(capsys.readouterr().out)))
         assert (code, digest) == (pinned[path.name]["exit"], pinned[path.name]["report"]), path.name
@@ -526,15 +527,10 @@ def _json_native(value):
 
 
 @pytest.mark.parametrize("workload", ["corpus", "gen-wide", "nonmonomial"])
-def test_details_and_witnesses_are_json_native(workload, tmp_path, monkeypatch):
+def test_details_and_witnesses_are_json_native(workload, reference_workload_files):
     # reports write details and witnesses as the checks record them: a tuple
     # would print differently in markdown, and a set would not serialize
-    if workload == "corpus":
-        files = sorted(CORPUS.glob("*.link"))
-    else:
-        run = load_perfbench("run", monkeypatch)
-        files = run.workloads.build(workload, run.REFERENCE_SEED, ROOT, tmp_path, run.child_env()).files
-    for path in files:
+    for path in reference_workload_files[workload]:
         for v in run_suite(parse_instance(path.read_text())):
             assert _json_native(v.details), (path.name, v.check, v.details)
             assert v.witness is None or _json_native(v.witness), (path.name, v.check, v.witness)

@@ -1,11 +1,7 @@
-import random
-
 import pytest
 
-import liaison.checks as checks_mod
 import liaison.linkage as linkage_mod
-from liaison.checks import run_suite
-from liaison.errors import ResourceLimitError, WitnessError
+from liaison.errors import WitnessError
 from liaison.groebner import Ideal, ideal_sum
 from liaison.ideal_ops import ideal_contains, ideal_equal
 from liaison.linkage import (
@@ -23,18 +19,8 @@ from liaison.linkage import (
     is_regular_sequence,
     s_membership,
 )
-from liaison.instancefile import parse_instance
 from liaison.monomials import associated_primes_monomial, height, monomial_radical
 from liaison.resolutions import grade_via_ext
-from test_fuzz import (
-    ALTERNATE_SEEDS,
-    FILES_PER_SEED,
-    LINKED_SEEDS,
-    PARTNER_SEEDS,
-    SEEDS,
-    linked_instance,
-    random_instance,
-)
 
 
 @pytest.fixture(scope="module")
@@ -313,39 +299,10 @@ def test_grade_oracle_routes(r3, monkeypatch):
         grade_oracle(Ideal(r3, (x - r3.one,)), CyclicModule(r3, Ideal(r3, (x,))))
 
 
-def _fuzz_texts():
-    for seed in SEEDS + PARTNER_SEEDS:
-        rng = random.Random(seed)
-        partners = seed in PARTNER_SEEDS
-        yield from (random_instance(rng, partners) for _ in range(FILES_PER_SEED))
-    for seed in LINKED_SEEDS + ALTERNATE_SEEDS:
-        rng = random.Random(seed)
-        alternate = seed in ALTERNATE_SEEDS
-        yield from (linked_instance(rng, alternate) for _ in range(FILES_PER_SEED))
-
-
-def test_height_equals_the_ext_grade_on_every_ideal_the_checks_ask(
-    reference_workload_files, monkeypatch
-):
-    asked = {}
-    true_oracle = checks_mod.grade_oracle
-
-    def recording(a, M):
-        if M.is_free() and not a.is_unit():
-            asked.setdefault((a.ring, a.gens_key()), a)
-        return true_oracle(a, M)
-
-    monkeypatch.setattr(checks_mod, "grade_oracle", recording)
-    texts = [p.read_text() for paths in reference_workload_files.values() for p in paths]
-    for text in texts + list(_fuzz_texts()):
-        try:
-            parsed = parse_instance(text)
-        except ResourceLimitError:
-            continue
-        run_suite(parsed)
+def test_height_equals_the_ext_grade_on_every_ideal_the_checks_ask(workload_pass):
     # 901 ideals, 449 of them over lex and 36 with an inhomogeneous
     # generator; the floors leave a margin for gates that later close
-    ideals = list(asked.values())
+    ideals = list(workload_pass["grades"].values())
     assert len(ideals) >= 850
     assert sum(a.ring.order == "lex" for a in ideals) >= 400
     assert sum(not all(g.is_homogeneous() for g in a.gens) for a in ideals) >= 30

@@ -5,18 +5,14 @@ and membership by divisibility against the normal form."""
 
 import pytest
 
-import liaison.linkage as linkage_mod
 import liaison.monomials as monomials_mod
 from conftest import seeded
-from liaison.checks import run_suite
 from liaison.errors import ResourceLimitError
 from liaison.fields import GF, QQ
 from liaison.groebner import Ideal, reduce_normal_form
-from liaison.instancefile import parse_instance
-from liaison.monomials import cd_monomial, hochster_pd, monomial_exponents, monomial_radical
+from liaison.monomials import cd_monomial, hochster_pd, monomial_exponents
 from liaison.resolutions import pd_via_resolution
 from liaison.rings import PolyRing
-from test_linkage import _fuzz_texts
 from test_monomials import _pd_over_all_restrictions
 
 
@@ -29,49 +25,8 @@ def _is_complete_intersection(I):
     return sum(map(len, supports)) == len(frozenset().union(*supports))
 
 
-def _monomial_basis(I):
-    gb = I.groebner()
-    return bool(gb) and all(len(g.terms) == 1 for g in gb)
-
-
-@pytest.fixture(scope="module")
-def asked(reference_workload_files):
-    """What the checks ask on the reference-seed workload files (and, for
-    membership, the fuzz files too): the radicals that cd_monomial reduces
-    to, by ring and generators, and the (I, f) that Ideal.contains answers
-    over a reduced basis of monomials."""
-    radicals, members = {}, {}
-    true_cd, true_contains = linkage_mod.cd_monomial, Ideal.contains
-
-    def recording_cd(a):
-        if not a.is_unit():
-            radical = monomial_radical(a)
-            radicals.setdefault((a.ring, radical.gens_key()), radical)
-        return true_cd(a)
-
-    def recording_contains(I, f):
-        if _monomial_basis(I):
-            members.setdefault((I.ring, I.groebner(), f), I)
-        return true_contains(I, f)
-
-    workload = [p.read_text() for paths in reference_workload_files.values() for p in paths]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Ideal, "contains", recording_contains)
-        mp.setattr(linkage_mod, "cd_monomial", recording_cd)
-        for text in workload:
-            run_suite(parse_instance(text))
-        mp.setattr(linkage_mod, "cd_monomial", true_cd)
-        for text in _fuzz_texts():
-            try:
-                parsed = parse_instance(text)
-            except ResourceLimitError:
-                continue
-            run_suite(parsed)
-    return list(radicals.values()), members
-
-
-def test_hochster_matches_the_general_routes_on_every_workload_radical(asked):
-    radicals, _ = asked
+def test_hochster_matches_the_general_routes_on_every_workload_radical(workload_pass):
+    radicals = list(workload_pass["radicals"].values())
     # 31 radicals at seed 1, 28 of them complete intersections; the floors
     # leave a margin and keep both sides of the gate in view
     complete = [I for I in radicals if _is_complete_intersection(I)]
@@ -151,11 +106,11 @@ def test_the_guards_come_before_the_shortcut():
             hochster_pd(I)
 
 
-def test_membership_by_divisibility_matches_the_normal_form(asked):
-    _, members = asked
+def test_membership_by_divisibility_matches_the_normal_form(workload_pass):
+    members = workload_pass["members"]
     pairs = list(members.items())
     answers = [I.contains(f) for (_, _, f), I in pairs]
-    # 6,494 pairs, 883 of them non-members and 27 over the unit ideal; the
+    # 6,496 pairs, 884 of them non-members and 27 over the unit ideal; the
     # floors leave a margin below what seed 1 and the fuzz seeds ask
     assert len(pairs) >= 5000
     assert sum(answers) >= 4000 and len(answers) - sum(answers) >= 600

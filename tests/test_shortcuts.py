@@ -5,48 +5,25 @@ PolyRing.monomial against PolyRing.poly, and the identities that the ring
 hash, the generator key, the memo and CyclicModule.plus_ann rely on; and
 radical membership by plain membership against the saturation."""
 
-import sys
 from fractions import Fraction
 
 import pytest
 
 from liaison import ideal_ops, limits
-from liaison.checks import run_suite
 from liaison.errors import ResourceLimitError
 from liaison.fields import GF, QQ
 from liaison.groebner import (
     Ideal,
     ideal_sum,
     reduced_groebner_basis,
-    single_term_exponents,
 )
 from liaison.ideal_ops import ideal_equal
-from liaison.instancefile import parse_instance
 from liaison.linkage import CyclicModule, free_module
 from liaison.rings import PolyRing
-from test_linkage import _fuzz_texts
 
 
-def test_every_carried_basis_is_the_reduced_basis_of_its_generators(
-    reference_workload_files, monkeypatch
-):
-    carried = {}
-    true_reduced = Ideal.reduced.__func__
-
-    def recording(cls, ring, basis):
-        ideal = true_reduced(cls, ring, basis)
-        carried.setdefault((ring, ideal.gens, ideal.groebner()), ideal)
-        return ideal
-
-    monkeypatch.setattr(Ideal, "reduced", classmethod(recording))
-    texts = [p.read_text() for paths in reference_workload_files.values() for p in paths]
-    for text in texts + list(_fuzz_texts()):
-        try:
-            parsed = parse_instance(text)
-        except ResourceLimitError:
-            continue
-        run_suite(parsed)
-    monkeypatch.undo()
+def test_every_carried_basis_is_the_reduced_basis_of_its_generators(workload_pass):
+    carried = workload_pass["carried"]
     assert limits._RUN.get() is None
     # 2,268 distinct results, 270 of them with a generator of two or more
     # terms (colons by the syzygy route); the floors leave a margin
@@ -146,31 +123,10 @@ def test_radical_membership_of_a_member_needs_no_saturation(r3, monkeypatch):
         ideal_ops.radical_membership(x, I)
 
 
-def test_radical_membership_shortcut_agrees_with_the_saturation(
-    reference_workload_files, monkeypatch
-):
-    asked = {}
-    true_membership = ideal_ops.radical_membership
-
-    def recording(f, I):
-        if single_term_exponents(I.gens) is None:
-            asked.setdefault((f, I.ring, I.gens_key()), (f, I))
-        return true_membership(f, I)
-
-    for module in list(sys.modules.values()):
-        if getattr(module, "radical_membership", None) is true_membership:
-            monkeypatch.setattr(module, "radical_membership", recording)
-    texts = [p.read_text() for paths in reference_workload_files.values() for p in paths]
-    for text in texts + list(_fuzz_texts()):
-        try:
-            parsed = parse_instance(text)
-        except ResourceLimitError:
-            continue
-        run_suite(parsed)
-    monkeypatch.undo()
+def test_radical_membership_shortcut_agrees_with_the_saturation(workload_pass):
     # 119 distinct questions, 97 of them with f in I; the floors leave a
     # margin
-    questions = list(asked.values())
+    questions = list(workload_pass["radical_questions"].values())
     members = sum(I.contains(f) for f, I in questions)
     assert len(questions) >= 100
     assert members >= 80 and len(questions) - members >= 15
