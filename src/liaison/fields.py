@@ -168,7 +168,4 @@ class PrimeField:
 
 
 QQ = RationalField()
-
-
-def GF(p):
-    return PrimeField(p)
+GF = PrimeField

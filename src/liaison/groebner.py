@@ -72,16 +72,6 @@ def single_term_exponents(polys):
     return [p.terms[0][0] for p in polys if p.terms]
 
 
-def _require_one_ring(polys):
-    ring = None
-    for p in polys:
-        if ring is None:
-            ring = p.ring
-        elif p.ring != ring:
-            raise RingMismatchError("polynomials from different rings")
-    return ring
-
-
 # -- the engine: rows ----------------------------------------------------------
 
 
@@ -98,11 +88,6 @@ def _lead(row):
 def _work(row):
     """A row as one mutable term dict per position."""
     return [dict(p.terms) for p in row]
-
-
-def _row(ring, work):
-    """The row of polynomials held in term dicts."""
-    return tuple(map(ring.from_dict, work))
 
 
 def _sub_term_mul(d, terms, shift, q, field):
@@ -128,8 +113,7 @@ def _normal_form(ring, work, basis, shadows=None, shadow=None):
     zero reductions into syzygies.
     """
     field = ring.field
-    zero, one = field.zero, field.one
-    sub, mul, div = field.sub, field.mul, field.div
+    one, div = field.one, field.div
     key = ring.key
     divisors = [[] for _ in work]
     for k, b in enumerate(basis):
@@ -149,13 +133,7 @@ def _normal_form(ring, work, basis, shadows=None, shadow=None):
                 if all(map(le, lm, m)):
                     q = c if lc == one else div(c, lc)
                     shift = tuple(map(minus, m, lm))
-                    for e2, c2 in tail:
-                        e = tuple(map(add, e2, shift))
-                        cur = sub(wp.get(e, zero), mul(q, c2))
-                        if cur == zero:
-                            wp.pop(e, None)
-                        else:
-                            wp[e] = cur
+                    _sub_term_mul(wp, tail, shift, q, field)
                     for p in later:
                         _sub_term_mul(work[p], basis[k][p].terms, shift, q, field)
                     if shadows is not None:
@@ -264,7 +242,7 @@ def buchberger(ring, rows, shadows=None, known=0):
         ):
             continue  # chain criterion: both other pairs treated
         rem, comp = _reduce_pair(ring, G, X, i, j)
-        shadow = None if comp is None else _row(ring, comp)
+        shadow = None if comp is None else tuple(map(ring.from_dict, comp))
         if _lead(rem) is not None:
             append(rem, shadow)
         elif shadow is not None and _lead(shadow) is not None:
@@ -307,11 +285,10 @@ def reduce_normal_form(f, basis):
     No term of the result is divisible by any basis leading monomial, and
     f - result lies in the ideal generated by basis.
     """
-    basis = [b for b in basis if not b.is_zero()]
+    basis = [(b,) for b in basis if not b.is_zero()]
     if f.is_zero() or not basis:
         return f
-    _require_one_ring([f] + basis)
-    return _normal_form(f.ring, _work((f,)), [(b,) for b in basis])[0]
+    return module_normal_form((f,), basis)[0]
 
 
 def reduced_groebner_basis(gens):
@@ -321,14 +298,15 @@ def reduced_groebner_basis(gens):
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return ()
-    ring = _require_one_ring(gens)
+    ring = gens[0].ring
 
     def compute():
+        _, rows = _rows((g,) for g in gens)  # one ring, checked on a miss only
         exps = single_term_exponents(gens)
         if exps is not None:
             exps = sorted(minimalize_exponents(exps), key=ring.key, reverse=True)
             return tuple(ring.monomial(e) for e in exps)
-        G, _ = buchberger(ring, [(g,) for g in gens])
+        G, _ = buchberger(ring, rows)
         return tuple(row[0] for row in _reduce(ring, G))
 
     return memo("gb", (ring, frozenset(gens)), compute)

@@ -45,10 +45,6 @@ def is_monomial_ideal(I):
     return single_term_exponents(I.groebner()) is not None
 
 
-def _ideal_from_exponents(ring, exps):
-    return Ideal(ring, tuple(ring.monomial(e) for e in sorted(exps)))
-
-
 def _support(exps):
     return frozenset(i for i, e in enumerate(exps) if e > 0)
 
@@ -57,7 +53,7 @@ def monomial_radical(I):
     """sqrt(I) for monomial I: squarefree parts of the generators, minimalized."""
     exps = monomial_exponents(I)
     square_free = [tuple(min(e, 1) for e in m) for m in exps]
-    return _ideal_from_exponents(I.ring, minimalize_exponents(square_free))
+    return Ideal(I.ring, tuple(map(I.ring.monomial, minimalize_exponents(square_free))))
 
 
 # -- irreducible decomposition ------------------------------------------------

@@ -5,6 +5,8 @@ order, with no zero coefficients; the zero polynomial is the empty list.  All
 operations are pure, so values can be shared freely between threads.
 """
 
+from functools import cache
+
 from . import limits
 from .errors import RingMismatchError
 
@@ -20,22 +22,6 @@ def _key_grevlex(exps):
 
 
 _KEYS = {"lex": _key_lex, "grevlex": _key_grevlex}
-
-
-class _KeyCache(dict):
-    """The order keys of the exponent tuples seen so far.  A ring's key is
-    this dict's lookup: after the first one for a tuple, max() and sorted()
-    read its key without running any Python code."""
-
-    __slots__ = ("_key",)
-
-    def __init__(self, key):
-        super().__init__()
-        self._key = key
-
-    def __missing__(self, exps):
-        value = self[exps] = self._key(exps)
-        return value
 
 
 class PolyRing:
@@ -62,7 +48,7 @@ class PolyRing:
         self.field = field
         self.vars = variables
         self.order = order
-        self.key = _KeyCache(_KEYS[order]).__getitem__
+        self.key = cache(_KEYS[order])
         self._index = {v: i for i, v in enumerate(variables)}
         self._hash = hash((field, variables, order))
 
