@@ -438,9 +438,20 @@ def check_aprime(inst):
     ring = inst.ring
     IJ = M.plus_ann(inst.I)
     _require_monomial(IJ)
+    # the witness and a meet their linkage preconditions first, failing in
+    # is_linked's or candidate_link's words, so _aprime never asks the grade
+    # of an a with aM = M; a partner that fails its own reads as no partner
+    validate_witness(inst.witness, inst.I, M)
+    if inst.a.is_zero():
+        raise WitnessError("a must be a nonzero ideal")
+    if M.kills(inst.a):
+        raise WitnessError("aM = M: a+J is the unit ideal")
+    if not ideal_contains(M.plus_ann(inst.a), inst.I):
+        partner = "" if inst.b is None else " and b"
+        raise WitnessError(f"I is not contained in a{partner} modulo J")
     try:
         b = _require_linked(inst)
-    except Inapplicable:
+    except (Inapplicable, WitnessError):
         b = None
     ap = _aprime(inst, inst.I, inst.witness)
     d = _Details(grade_a=inst.witness.length, aprime=gens_str(ap))

@@ -257,7 +257,7 @@ def _linking_ideal(names, args, ideal_key, seq_key, id_tok):
     I = names["ideal"][args[ideal_key]]
     if seq_key in args:
         return I, RegularSequenceWitness(names["regseq"][args[seq_key]])
-    if I.gens:
+    if any(I.gens):
         raise ParseError(
             f"check needs {seq_key}= for a nonzero linking ideal", id_tok.line, id_tok.col
         )

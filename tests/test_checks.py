@@ -346,6 +346,29 @@ def test_aprime_minimality_skipped_over_non_squarefree_ann_m():
     assert verdict.status == HOLDS
 
 
+@pytest.mark.parametrize(
+    "J, a, b, I, status, details",
+    [
+        # bM = M: no partner, so the sqrt(a + J) = a' clause is not asked
+        ("0", "x", "1", "x*y", HOLDS, {
+            "grade_a": 1, "aprime": "x", "a_contained": True, "s_membership": True,
+            "radical": True, "brute_force_minimality": True,
+        }),
+        # aM = M: a's own precondition names the hypothesis, before any grade
+        ("x", "x - 1", "y", "y", INAPPLICABLE, {"hypothesis": "aM = M: a+J is the unit ideal"}),
+    ],
+    ids=["partner-bM-equals-M", "aM-equals-M"],
+)
+def test_aprime_reads_a_partner_failing_a_precondition_as_no_partner(J, a, b, I, status, details):
+    [verdict] = run_suite(parse_instance(
+        "ring R = QQ[x, y] grevlex;\n"
+        f"ideal J = {J};\nideal a = {a};\nideal b = {b};\nideal I = {I};\n"
+        f"module M = quotient J;\nregseq s = {I};\n"
+        "check APRIME_T7(a = a, b = b, I = I, M = M, seq = s);\n"
+    ))
+    assert (verdict.status, verdict.details) == (status, details)
+
+
 # Each mutant below wraps one oracle of the checks and turns exactly these
 # corpus verdicts (check: files) to fails.
 CD_TEETH = {

@@ -322,6 +322,22 @@ def test_compute_aprime(capsys):
     assert out == "x1*x3, x2*x3, x1*x4, x2*x4"
 
 
+@pytest.mark.parametrize(
+    "ideal, by, message",
+    [
+        ("x, y", "x + y", "associated primes need monomial I + J"),
+        ("x", "y", "no associated prime of M/IM contains a"),
+    ],
+    ids=["non-monomial-I", "no-prime-contains-a"],
+)
+def test_compute_aprime_outside_its_hypotheses_exit_two(capsys, ideal, by, message):
+    argv = ["compute", "aprime", "--ring", "QQ[x,y]", "--ideal", ideal, "--by", by]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.strip() == f"error: {message}"
+
+
 def test_compute_bad_ring_exit_two(capsys):
     assert (
         main(["compute", "gb", "--ring", "ZZ[x]", "--ideal", "x"]) == 2

@@ -51,11 +51,11 @@ MIN_ALTERNATES_COMPARED = 90
 # outcomes_digest): the reports must stay byte-identical on M = R/J, GF(p),
 # lex and invalid witnesses, which no benchmark workload reaches.
 REPORT_DIGESTS = {
-    3: "02a22f4a13f6bbacb2c145ef3a5e187cb736ab25a940de47ed6e5303f783e40e",
-    5: "4669df54c62d1c26d11d0e4370dc7743f7db24b288907cf9679a440e7fd22534",
-    11: "1f24625ee9ecf9149ca83fe9b11928083c5e6cbe60b6df2f936b066f805fd7ec",
-    1: "40cecaa46930693ed95d9e4e842ceb45c559b7f89e74530947816cf45afe06b6",
-    2: "d1cb70a64151984decd6f0a6bfbdb2d71dbc74023ed886689d5bde8d586a98bc",
+    3: "87d715d1f99fe49b951ed6f0c1c623ae329ee5de44ade4727c3dfe4712610556",
+    5: "39ce958813ba365ff62c2ab7b6805e9b640f90aa49bb318861582504a451f8a0",
+    11: "17a6ad1f62bf22ab8c6ca5b474a138b52d9ff01dae679fb9a5c0259d41ead507",
+    1: "038d9907d0445a479f2caa54d19543decc33280f9bc24e78d4a2abf5e9dc5927",
+    2: "c20354efe5796d13133c519b80f4a41e28b90be2667a1b6a5419a3bbdf558870",
     4: "0bc893e775a2835946f6c6aefac133c53d55deea626d4fdcd9acc6c8664d318b",
     6: "d2fb2b2a02236512f03025abc260b92d6ee885bce015e16af776e303a5b5606f",
     8: "f6237062fe09ecd569289ee4022767f019c6f82707230312af079f3df58528e8",

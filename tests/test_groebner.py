@@ -13,7 +13,7 @@ from liaison.groebner import (
     syzygy_module,
     unit_vector,
 )
-from liaison.limits import COEFF_BITS_CAP
+from liaison.limits import COEFF_BITS_CAP, run_context
 from liaison.rings import PolyRing
 
 
@@ -51,6 +51,18 @@ def test_reduced_basis_lives_in_the_generators_ring(r2):
         reduced_groebner_basis([x, fp.gen(1)])
     with pytest.raises(TypeError):
         reduced_groebner_basis([x], fp)  # no ring can disagree with the generators
+
+
+def test_mixed_rings_raise_on_every_call_and_memoize_nothing(r2):
+    x, _ = r2.gens()
+    foreign = PolyRing(GF(7), ["x", "y"]).gen(1)
+    with run_context() as run:
+        for _ in range(2):
+            with pytest.raises(RingMismatchError):
+                reduced_groebner_basis([x, foreign])
+            with pytest.raises(RingMismatchError):
+                reduce_normal_form(x, [foreign])
+        assert not [key for key in run.memo if key[0] == "gb"]
 
 
 def test_zero_and_unit_conventions(r2):

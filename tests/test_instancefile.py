@@ -130,6 +130,19 @@ def test_zero_ideal_literal_and_empty_witness():
     assert inst.witness.length == 0
 
 
+@pytest.mark.parametrize("zero", ["x - x", "0, 0"])
+def test_zero_linking_ideal_written_with_zero_generators_needs_no_seq(zero):
+    text = (
+        "ring R = QQ[x, y] grevlex;\n"
+        f"ideal a = x;\nideal Z = {zero};\nmodule M = quotient 0;\n"
+        "check L07(a = a, I = Z, M = M);\n"
+    )
+    inst = parse_instance(text).directives[0].instance
+    assert inst.I.gens and not any(inst.I.gens)
+    assert inst.witness.length == 0
+    assert inst.I._gb is None  # zero generators are seen without a basis
+
+
 def test_module_quotient_unit_rejected():
     text = "ring R = QQ[x] grevlex;\nideal u = 1;\nmodule M = quotient u;\n"
     with pytest.raises(ParseError):

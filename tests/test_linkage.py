@@ -1,7 +1,8 @@
 import pytest
 
 import liaison.linkage as linkage_mod
-from liaison.errors import WitnessError
+from liaison.errors import RingMismatchError, WitnessError
+from liaison.fields import GF
 from liaison.groebner import Ideal, ideal_sum
 from liaison.ideal_ops import ideal_contains, ideal_equal
 from liaison.linkage import (
@@ -21,6 +22,7 @@ from liaison.linkage import (
 )
 from liaison.monomials import associated_primes_monomial, height, monomial_radical
 from liaison.resolutions import grade_via_ext
+from liaison.rings import PolyRing
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +43,39 @@ def test_regular_sequence_examples(r2):
     assert not is_regular_sequence([x * y], quotient)
     # anything that drives (xs) + J to the unit ideal fails
     assert not is_regular_sequence([x, y, r2.one], M)
+
+
+@pytest.mark.parametrize(
+    "case, expected",
+    [
+        ("empty sequence", ValueError("the empty sequence is not tested here")),
+        ("foreign element", RingMismatchError("sequence element from a different ring")),
+        ("zero element", False),
+        ("zero a", WitnessError("a must be a nonzero ideal")),
+        ("(f) + J is the unit ideal", ValueError(
+            "(f) + J is the unit ideal and f is not nilpotent on M"
+        )),
+    ],
+)
+def test_degenerate_linkage_inputs(r2, case, expected):
+    x, _ = r2.gens()
+    R = free_module(r2)
+    I, witness = Ideal(r2, (x,)), RegularSequenceWitness((x,))
+    calls = {
+        "empty sequence": lambda: is_regular_sequence([], R),
+        "foreign element": lambda: is_regular_sequence([PolyRing(GF(7), ["x"]).gen(0)], R),
+        "zero element": lambda: is_regular_sequence([x, r2.zero], R),
+        "zero a": lambda: is_linked(Ideal(r2, ()), I, I, R, witness),
+        "(f) + J is the unit ideal": lambda: cd_principal_cyclic(
+            x, CyclicModule(r2, Ideal(r2, (x - r2.one,)))
+        ),
+    }
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as err:
+            calls[case]()
+        assert str(err.value) == str(expected)
+    else:
+        assert calls[case]() is expected
 
 
 def test_module_colon_examples(r2):

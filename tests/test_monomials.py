@@ -258,6 +258,22 @@ def test_cd_bounded_work_in_twelve_variables():
     assert cd_monomial(Ideal(ring, (x[0] * x[1], x[2] * x[3], x[4] * x[5]))) == 3
 
 
+@pytest.mark.parametrize(
+    "oracle, gens, message",
+    [
+        (associated_primes_monomial, "1", "Ass of the zero module"),
+        (cd_monomial, "", "cd oracle needs a nonzero ideal"),
+        (cd_monomial, "1", "cd of the unit ideal is undefined"),
+    ],
+    ids=["ass-of-unit", "cd-of-zero", "cd-of-unit"],
+)
+def test_monomial_oracles_reject_degenerate_ideals(r2, oracle, gens, message):
+    I = Ideal(r2, (r2.one,) if gens else ())
+    with pytest.raises(ValueError) as err:
+        oracle(I)
+    assert str(err.value) == message
+
+
 def test_cd_examples(r2, flagship):
     x, y = r2.gens()
     assert cd_monomial(Ideal(r2, (x,))) == 1
