@@ -32,6 +32,7 @@ from .linkage import (
     aprime_construct,
     candidate_link,
     cd_oracle,
+    check_link_preconditions,
     free_module,
     grade_oracle,
     is_geometrically_linked,
@@ -438,17 +439,10 @@ def check_aprime(inst):
     ring = inst.ring
     IJ = M.plus_ann(inst.I)
     _require_monomial(IJ)
-    # the witness and a meet their linkage preconditions first, failing in
-    # is_linked's or candidate_link's words, so _aprime never asks the grade
-    # of an a with aM = M; a partner that fails its own reads as no partner
-    validate_witness(inst.witness, inst.I, M)
-    if inst.a.is_zero():
-        raise WitnessError("a must be a nonzero ideal")
-    if M.kills(inst.a):
-        raise WitnessError("aM = M: a+J is the unit ideal")
-    if not ideal_contains(M.plus_ann(inst.a), inst.I):
-        partner = "" if inst.b is None else " and b"
-        raise WitnessError(f"I is not contained in a{partner} modulo J")
+    # a's half of the linkage preconditions first, in candidate_link's words,
+    # so _aprime never asks the grade of an a with aM = M; a partner that
+    # fails its own half reads as no partner
+    check_link_preconditions(inst.a, None, inst.I, M, inst.witness)
     try:
         b = _require_linked(inst)
     except (Inapplicable, WitnessError):
@@ -519,10 +513,10 @@ def check_s_reflex(inst):
     if ideal_equal(M.plus_ann(inst.I), M.plus_ann(inst.a)):
         raise Inapplicable("I equals a modulo J")
     cand = candidate_link(inst.a, inst.I, M, inst.witness)
-    if M.kills(cand) or cand.is_zero():
-        lhs = False
-    else:
+    try:
         lhs = is_linked(inst.a, cand, inst.I, M, inst.witness)
+    except WitnessError:  # a has passed, so the candidate failed its half
+        lhs = False
     rhs = s_membership(inst.a, inst.I, M, inst.witness)
     details = {"candidate": gens_str(cand), "linked": lhs, "s_member": rhs}
     return lhs == rhs, details, None

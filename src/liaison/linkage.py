@@ -5,8 +5,11 @@ and (I + J) : a, and CyclicModule is the one place that builds them.  Every
 predicate here reduces to exact ideal arithmetic through it: a and b are
 linked by I over M iff M.colon(I, a) = M.plus_ann(b) and M.colon(I, b) =
 M.plus_ann(a), geometrically linked iff additionally M.plus_ann(a) cap
-M.plus_ann(b) = M.plus_ann(I).  Within one run the witness check and the
-linkage test are memoized, each with the WitnessError message it raised.
+M.plus_ann(b) = M.plus_ann(I).  The preconditions (a valid witness; a, then
+b, nonzero with xM != M; I inside each modulo J) are stated once, in
+check_link_preconditions, which the checks ask rather than restate.  Within
+one run the witness check and the linkage test are memoized, each with the
+WitnessError message it raised.
 
 cd_oracle and grade_oracle are the one places that pick a cd route and a
 grade route for (a, M); the checks and the CLI ask them and nothing else.
@@ -134,16 +137,18 @@ def _witness_error(witness, I, M):
     return reason and f"regular-sequence witness: {reason}"
 
 
-def _check_link_preconditions(a, b, I, M, witness):
+def check_link_preconditions(a, b, I, M, witness):
+    """Raise WitnessError naming the first failed precondition of linking a
+    to b by I over M, in the order above; of a's half alone when b is None."""
     validate_witness(witness, I, M)
-    for name, ideal in (("a", a), ("b", b)):
+    named = {"a": a} if b is None else {"a": a, "b": b}
+    for name, ideal in named.items():
         if ideal.is_zero():
             raise WitnessError(f"{name} must be a nonzero ideal")
         if M.kills(ideal):
             raise WitnessError(f"{name}M = M: {name}+J is the unit ideal")
-    for target in (a, b):
-        if not ideal_contains(M.plus_ann(target), I):
-            raise WitnessError("I is not contained in a and b modulo J")
+    if not all(ideal_contains(M.plus_ann(x), I) for x in named.values()):
+        raise WitnessError(f"I is not contained in {' and '.join(named)} modulo J")
 
 
 def is_linked(a, b, I, M, witness):
@@ -159,7 +164,7 @@ def is_linked(a, b, I, M, witness):
 def _linked(a, b, I, M, witness):
     """Whether a ~ b by I over M, or why the preconditions fail."""
     try:
-        _check_link_preconditions(a, b, I, M, witness)
+        check_link_preconditions(a, b, I, M, witness)
     except WitnessError as exc:
         return str(exc)
     linked = ideal_equal(M.colon(I, a), M.plus_ann(b))
@@ -176,11 +181,7 @@ def is_geometrically_linked(a, b, I, M, witness):
 
 def candidate_link(a, I, M, witness):
     """b := IM :_M a, the only possible linkage partner of a by I over M."""
-    validate_witness(witness, I, M)
-    if not any(a.gens):
-        raise WitnessError("a must be a nonzero ideal")
-    if not ideal_contains(M.plus_ann(a), I):
-        raise WitnessError("I is not contained in a modulo J")
+    check_link_preconditions(a, None, I, M, witness)
     return M.colon(I, a)
 
 

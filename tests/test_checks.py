@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from conftest import CORPUS_DIR, random_polynomial, seeded
@@ -6,6 +8,7 @@ import liaison.linkage as linkage_mod
 import liaison.resolutions as resolutions_mod
 from liaison.checks import (
     FAILS,
+    GLOBAL_CHECKS,
     HOLDS,
     INAPPLICABLE,
     CheckId,
@@ -15,7 +18,8 @@ from liaison.checks import (
 )
 from liaison.groebner import Ideal, minimalize_exponents
 from liaison.instancefile import parse_instance
-from liaison.linkage import LinkageInstance, RegularSequenceWitness, free_module
+from liaison import limits
+from liaison.linkage import CyclicModule, LinkageInstance, RegularSequenceWitness, free_module
 from liaison.parse import parse_polynomial
 from liaison.rings import PolyRing
 from liaison.fields import GF, QQ
@@ -367,6 +371,39 @@ def test_aprime_reads_a_partner_failing_a_precondition_as_no_partner(J, a, b, I,
         "check APRIME_T7(a = a, b = b, I = I, M = M, seq = s);\n"
     ))
     assert (verdict.status, verdict.details) == (status, details)
+
+
+def test_degenerate_inputs_never_fail_a_pair_check():
+    """Every pair check over QQ[x, y] on each J in {0, xy, x^2}, a and b
+    among the unit, zero, monomial and non-monomial ideals below (b also
+    undeclared) and I in {0, xy, x}: no verdict fails, and nothing but a
+    hypothesis or a cap is raised (run_check lets anything else escape)."""
+    ring = PolyRing(QQ, ["x", "y"])
+    x, y = ring.gens()
+    ideals = [(ring.one,), (), (x,), (x * y,), (x, y), (x + ring.one,)]
+    pair_checks = [c for c in CheckId if c not in GLOBAL_CHECKS]
+    verdicts = {}
+    with limits.run_context():
+        for J, a, b, I in product([(), (x * y,), (x**2,)], ideals, ideals + [None], [(), (x * y,), (x,)]):
+            inst = LinkageInstance(
+                ring=ring,
+                module=CyclicModule(ring, Ideal(ring, J)),
+                a=Ideal(ring, a),
+                b=None if b is None else Ideal(ring, b),
+                I=Ideal(ring, I),
+                witness=RegularSequenceWitness(I),
+            )
+            for check in pair_checks:
+                verdicts[J, a, b, I, check] = run_check(check, inst)
+    assert len(verdicts) == 3780
+    assert [key for key, v in verdicts.items() if v.status == FAILS] == []
+    # a = (1) and I = 0 over M = R: the double-colon candidate is 0 and a is
+    # fixed by the double colon, but aM = M rules out linking a at all
+    for b in ideals + [None]:
+        verdict = verdicts[(), (ring.one,), b, (), CheckId.S_REFLEX]
+        assert (verdict.status, verdict.details) == (
+            INAPPLICABLE, {"hypothesis": "aM = M: a+J is the unit ideal"}
+        )
 
 
 # Each mutant below wraps one oracle of the checks and turns exactly these

@@ -54,8 +54,8 @@ REPORT_DIGESTS = {
     3: "87d715d1f99fe49b951ed6f0c1c623ae329ee5de44ade4727c3dfe4712610556",
     5: "39ce958813ba365ff62c2ab7b6805e9b640f90aa49bb318861582504a451f8a0",
     11: "17a6ad1f62bf22ab8c6ca5b474a138b52d9ff01dae679fb9a5c0259d41ead507",
-    1: "038d9907d0445a479f2caa54d19543decc33280f9bc24e78d4a2abf5e9dc5927",
-    2: "c20354efe5796d13133c519b80f4a41e28b90be2667a1b6a5419a3bbdf558870",
+    1: "e6ad4585037a3089d63cbea9deabd7f091523e517b9a47b403487fcac842de49",
+    2: "6b606ce34e916d6dd561e0274889e3df9ce90d559a0998b205aef4bfe86cb5df",
     4: "0bc893e775a2835946f6c6aefac133c53d55deea626d4fdcd9acc6c8664d318b",
     6: "d2fb2b2a02236512f03025abc260b92d6ee885bce015e16af776e303a5b5606f",
     8: "f6237062fe09ecd569289ee4022767f019c6f82707230312af079f3df58528e8",

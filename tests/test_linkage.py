@@ -1,6 +1,7 @@
 import pytest
 
 import liaison.linkage as linkage_mod
+from liaison.checks import INAPPLICABLE, CheckId, run_check
 from liaison.errors import RingMismatchError, WitnessError
 from liaison.fields import GF
 from liaison.groebner import Ideal, ideal_sum
@@ -8,6 +9,7 @@ from liaison.ideal_ops import ideal_contains, ideal_equal
 from liaison.linkage import (
     EMPTY_WITNESS,
     CyclicModule,
+    LinkageInstance,
     RegularSequenceWitness,
     aprime_construct,
     candidate_link,
@@ -55,6 +57,7 @@ def test_regular_sequence_examples(r2):
         ("(f) + J is the unit ideal", ValueError(
             "(f) + J is the unit ideal and f is not nilpotent on M"
         )),
+        ("candidate_link with aM = M", WitnessError("aM = M: a+J is the unit ideal")),
     ],
 )
 def test_degenerate_linkage_inputs(r2, case, expected):
@@ -66,6 +69,7 @@ def test_degenerate_linkage_inputs(r2, case, expected):
         "foreign element": lambda: is_regular_sequence([PolyRing(GF(7), ["x"]).gen(0)], R),
         "zero element": lambda: is_regular_sequence([x, r2.zero], R),
         "zero a": lambda: is_linked(Ideal(r2, ()), I, I, R, witness),
+        "candidate_link with aM = M": lambda: candidate_link(Ideal(r2, (r2.one,)), I, R, witness),
         "(f) + J is the unit ideal": lambda: cd_principal_cyclic(
             x, CyclicModule(r2, Ideal(r2, (x - r2.one,)))
         ),
@@ -76,6 +80,36 @@ def test_degenerate_linkage_inputs(r2, case, expected):
         assert str(err.value) == str(expected)
     else:
         assert calls[case]() is expected
+
+
+@pytest.mark.parametrize(
+    "case, hypothesis",
+    [
+        ("witness does not generate I",
+         "regular-sequence witness: witness elements do not generate the linking ideal"),
+        ("zero a", "a must be a nonzero ideal"),
+        ("aM = M", "aM = M: a+J is the unit ideal"),
+        ("I not in a + J", "I is not contained in a modulo J"),
+    ],
+)
+def test_candidate_link_and_aprime_name_the_same_failure_of_a(r2, case, hypothesis):
+    """Each failure on a's side of the linkage preconditions reads the same
+    from candidate_link and from APRIME_T7, with and without a declared b."""
+    x, y = r2.gens()
+    J, a, I, sequence = {
+        "witness does not generate I": ((), (x,), (x * y,), (x,)),
+        "zero a": ((), (), (x * y,), (x * y,)),
+        "aM = M": ((x,), (x - r2.one,), (y,), (y,)),
+        "I not in a + J": ((), (x,), (y,), (y,)),
+    }[case]
+    M = CyclicModule(r2, Ideal(r2, J))
+    a, I, witness = Ideal(r2, a), Ideal(r2, I), RegularSequenceWitness(sequence)
+    with pytest.raises(WitnessError) as err:
+        candidate_link(a, I, M, witness)
+    assert str(err.value) == hypothesis
+    for b in (None, Ideal(r2, (y,))):
+        verdict = run_check(CheckId.APRIME_T7, LinkageInstance(r2, M, a, I, witness, b=b))
+        assert (verdict.status, verdict.details) == (INAPPLICABLE, {"hypothesis": hypothesis})
 
 
 def test_module_colon_examples(r2):
