@@ -5,10 +5,10 @@ Exit codes: 0 every check holds (or is inapplicable), 1 some check fails,
 2 usage or parse error, 3 resource limit exceeded.
 """
 
-import argparse
 import json
 import sys
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 from . import __version__, limits
 from .checks import FAILS, gens_str, run_suite
@@ -173,7 +173,7 @@ def _cmd_compute(args):
         print(lo if lo == hi else f"[{lo}, {hi}]")
     elif op == "pd":
         print(pd_via_resolution(ideal))
-    else:  # aprime: argparse restricts the choices
+    else:  # aprime: COMMANDS restricts the choices
         witness = RegularSequenceWitness(tuple(by.gens))
         print(gens_str(aprime_construct(ideal, by, module, witness)))
     return 0
@@ -188,49 +188,84 @@ def _cmd_gen(args):
     return 0
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="liaison",
-        description="Linkage calculus over polynomial rings: run instance "
-        "files, compute single invariants, generate corpora.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each subcommand's keys: positionals (no leading "-"), required and read in order, then
+# options.  A key gives only what differs from type str, any value, default None, optional.
+COMMANDS = {
+    "run": {"file": {}, "--format": {"choices": ("json", "md"), "default": "md"}, "--out": {},
+            "--degree-cap": {"type": int}},
+    "compute": {
+        "operation": {"choices": ("gb", "colon", "intersect", "grade", "cd", "pd", "aprime")},
+        "--ring": {"required": True}, "--ideal": {"required": True}, "--by": {}, "--module": {},
+    },
+    "gen": {"--seed": {"type": int, "required": True},
+            "--profile": {"choices": PROFILES, "required": True},
+            "--count": {"type": int, "default": 5}, "--vars": {"type": int, "default": 4},
+            "--out": {}},
+}
 
-    run_p = sub.add_parser("run", help="run every check in an instance file")
-    run_p.add_argument("file")
-    run_p.add_argument("--format", choices=("json", "md"), default="md")
-    run_p.add_argument("--out", default=None)
-    run_p.add_argument("--degree-cap", type=int, default=None)
 
-    compute_p = sub.add_parser("compute", help="one-off computations")
-    compute_p.add_argument(
-        "operation",
-        choices=("gb", "colon", "intersect", "grade", "cd", "pd", "aprime"),
-    )
-    compute_p.add_argument(
-        "--ring", required=True, help='e.g. "QQ[x,y] lex" (order lex or grevlex, default grevlex)'
-    )
-    compute_p.add_argument("--ideal", required=True, help="comma-separated generators")
-    compute_p.add_argument("--by", default=None, help="second ideal / sequence")
-    compute_p.add_argument(
-        "--module", default=None, help="generators of J for M = R/J (default M = R)"
-    )
+def _usage(prog, table):
+    words = [prog]
+    for key, opt in table.items():
+        word = "{" + ",".join(opt["choices"]) + "}" if "choices" in opt else key.strip("-").upper()
+        if key.startswith("-"):
+            word = f"{key} {word}" if opt.get("required") else f"[{key} {word}]"
+        words.append(word)
+    return " ".join(words)
 
-    gen_p = sub.add_parser("gen", help="emit a deterministic instance file")
-    gen_p.add_argument("--seed", type=int, required=True)
-    gen_p.add_argument("--profile", choices=PROFILES, required=True)
-    gen_p.add_argument("--count", type=int, default=5)
-    gen_p.add_argument("--vars", type=int, default=4)
-    gen_p.add_argument("--out", default=None)
-    return parser
+
+def read_argv(argv):
+    """The command and its values: `--opt value`, `--opt=value` or a unique prefix of `--opt`,
+    as in argparse, but a value may begin with "-".  SystemExit after -h or a usage error."""
+    if argv and argv[0] in COMMANDS:
+        prog, table, words = f"liaison {argv[0]}", COMMANDS[argv[0]], argv[1:]
+    else:  # no command, so the reading below ends in -h or a usage error
+        prog, table, words = "liaison", {"command": {"choices": tuple(COMMANDS)}}, list(argv)
+
+    def fail(message):
+        print(f"usage: {_usage(prog, table)}\n{prog}: error: {message}", file=sys.stderr)
+        raise SystemExit(2)
+
+    unread, values = [key for key in table if not key.startswith("-")], {}
+    while words:
+        word = words.pop(0)
+        if not word.startswith("-"):  # the next positional, read as KEY=word
+            if not unread:
+                fail(f"unrecognized arguments: {word}")
+            word = f"{unread.pop(0)}={word}"
+        name, eq, value = ("--help" if word == "-h" else word).partition("=")
+        keys = [k for k in ("--help", *table) if len(name) > 2 and k.startswith(name)]
+        if keys == ["--help"]:
+            synopsis = (_usage(f"liaison {c}", t) for c, t in COMMANDS.items())
+            print("usage:", "\n       ".join(synopsis))
+            raise SystemExit(0)
+        if len(keys) != 1:
+            fail(f"unrecognized or ambiguous option: {word}")
+        if not (eq or words):
+            fail(f"argument {keys[0]}: expected one argument")
+        key, value = keys[0], value if eq else words.pop(0)
+        kind, choices = table[key].get("type", str), table[key].get("choices")
+        try:
+            values[key] = kind(value)
+        except ValueError:
+            fail(f"argument {key}: invalid {kind.__name__} value: {value!r}")
+        if choices and values[key] not in choices:
+            choices = ", ".join(map(repr, choices))
+            fail(f"argument {key}: invalid choice: {value!r} (choose from {choices})")
+    missing = unread + [key for key in table if table[key].get("required") and key not in values]
+    if missing:
+        fail(f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(command=argv[0], **{
+        key.strip("-").replace("-", "_"): values.get(key, opt.get("default"))
+        for key, opt in table.items()
+    })
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = read_argv(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
-        return 2 if exc.code else 0
+        return exc.code
     try:
         if args.command == "run":
             return _cmd_run(args)

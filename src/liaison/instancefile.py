@@ -20,7 +20,7 @@ its witness) as the alternate.
 sequence of the zero polynomial, which no check accepts as a witness.
 """
 
-import hashlib
+import sys
 
 from .checks import GLOBAL_CHECKS, CheckId
 from .errors import ParseError
@@ -304,4 +304,8 @@ def print_instance(parsed):
 
 def instance_digest(parsed):
     """Stable content hash of the canonicalized input."""
-    return hashlib.sha256(print_instance(parsed).encode()).hexdigest()
+    try:  # the interpreter's builtin SHA-256 loads faster than hashlib's OpenSSL
+        sha256 = __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
+    except ImportError:  # an interpreter built without it
+        from hashlib import sha256
+    return sha256(print_instance(parsed).encode()).hexdigest()

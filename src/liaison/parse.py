@@ -57,7 +57,10 @@ def tokenize(text):
         elif ch in DIGITS:
             while j < n and text[j] in DIGITS:
                 j += 1
-            tokens.append(Token("int", int(text[i:j]), line, col))
+            try:
+                tokens.append(Token("int", int(text[i:j]), line, col))
+            except ValueError as exc:  # more digits than int() reads from a string
+                raise ParseError(str(exc), line, col) from None
         elif ch.isalpha():
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1

@@ -76,12 +76,21 @@ def test_missing_file_exit_two(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
 
 
+# An integer literal past the interpreter's limit on int() of a digit string
+# (4,300 digits by default), and the message int() gives for it.
+LONG_INT = "1" * 5000
+try:
+    int(LONG_INT)
+except ValueError as exc:
+    LONG_INT_ERROR = str(exc)
+
 # (arguments after `run`, the one stderr line, the exit code); {tmp} is the
-# test's directory, which holds bad.link (a parse error) and deg.link
-# (a degree past the default cap while parsing)
+# test's directory, which holds bad.link (a parse error), deg.link (a degree
+# past the default cap while parsing) and long.link (LONG_INT at line 2 col 11)
 RUN_ERRORS = {
     "directory": (["{tmp}"], "error: [Errno 21] Is a directory: '{tmp}'", 2),
     "parse": (["{tmp}/bad.link"], "error: {tmp}/bad.link: line 2 col 13: expected ';'", 2),
+    "digits": (["{tmp}/long.link"], "error: {tmp}/long.link: line 2 col 11: " + LONG_INT_ERROR, 2),
     "degree": (
         ["{tmp}/deg.link"],
         "error: resource limit: polynomial degree 300 exceeds cap 128",
@@ -99,6 +108,7 @@ RUN_ERRORS = {
 def test_run_error_line_and_exit_code(case, tmp_path, capsys):
     (tmp_path / "bad.link").write_text("ring R = QQ[x, y] grevlex;\nideal a = x y;\n")
     (tmp_path / "deg.link").write_text("ring R = QQ[x] grevlex;\nideal a = x^300;\n")
+    (tmp_path / "long.link").write_text(f"ring R = QQ[x] grevlex;\nideal a = {LONG_INT}*x;\n")
     argv, line, code = RUN_ERRORS[case]
     assert main(["run", *(arg.format(tmp=tmp_path) for arg in argv)]) == code
     captured = capsys.readouterr()
@@ -117,18 +127,21 @@ def test_unwritable_out_fails_before_any_check(tmp_path, capsys, monkeypatch):
 
 
 # Each option of `liaison compute` that is parsed, with a value that does not
-# parse: the error names the option, as `liaison run` names the file.
+# parse: the error names the option (the first word of the case), as
+# `liaison run` names the file.
 COMPUTE_PARSE_ERRORS = {
     "--ring": (["--ring", "QQ[x,y", "--ideal", "x"], "line 1 col 7: expected ']'"),
     "--ideal": (["--ring", "QQ[x,y]", "--ideal", "x^2, y 1"], "line 1 col 8: unexpected trailing input"),
     "--by": (["--ring", "QQ[x,y]", "--ideal", "x", "--by", "y +"], "line 1 col 4: expected a term"),
     "--module": (["--ring", "QQ[x,y]", "--ideal", "x", "--module", "x*"], "line 1 col 3: expected variable"),
+    "--ideal digits": (["--ring", "QQ[x,y]", "--ideal", f"x, {LONG_INT}*y"], f"line 1 col 4: {LONG_INT_ERROR}"),
 }
 
 
-@pytest.mark.parametrize("option", COMPUTE_PARSE_ERRORS)
-def test_compute_parse_error_names_the_option(option, capsys):
-    argv, message = COMPUTE_PARSE_ERRORS[option]
+@pytest.mark.parametrize("case", COMPUTE_PARSE_ERRORS)
+def test_compute_parse_error_names_the_option(case, capsys):
+    argv, message = COMPUTE_PARSE_ERRORS[case]
+    option = case.split()[0]
     assert main(["compute", "colon", *argv]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {option}: {message}\n")

@@ -1,13 +1,14 @@
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 
 from conftest import CORPUS_DIR
 from liaison.checks import GLOBAL_CHECKS, CheckId
 from liaison.errors import ParseError, ResourceLimitError
-from liaison.instancefile import instance_digest, parse_instance, print_instance
+from liaison.instancefile import PROFILES, instance_digest, parse_instance, print_instance
 from liaison.linkage import RegularSequenceWitness
 
 FLAGSHIP_MIN = """\
@@ -164,6 +165,25 @@ def test_round_trip_on_corpus(corpus_files):
         reparsed = parse_instance(printed)
         assert print_instance(reparsed) == printed, name
         assert instance_digest(reparsed) == instance_digest(parsed), name
+
+
+def test_digest_is_the_sha256_of_the_canonical_text(monkeypatch):
+    from liaison.generate import generate_instances
+
+    corpus = sorted(CORPUS_DIR.glob("*.link"))
+    texts = [path.read_text() for path in corpus]
+    texts += [generate_instances(1, profile, 2, 4) for profile in PROFILES]
+    parsed = [parse_instance(text) for text in texts]
+    expected = [hashlib.sha256(print_instance(p).encode()).hexdigest() for p in parsed]
+    assert [instance_digest(p) for p in parsed] == expected
+    # without the interpreter's builtin sha256 modules the digest falls back
+    # to hashlib and stays the same
+    calls = []
+    monkeypatch.setattr(hashlib, "sha256", lambda data: calls.append(data) or hashlib.new("sha256", data))
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    assert [instance_digest(p) for p in parsed] == expected
+    assert len(calls) == len(parsed) == len(corpus) + len(PROFILES) == 9
 
 
 def test_comments_do_not_change_digest():

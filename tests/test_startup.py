@@ -29,6 +29,10 @@ NEVER_AT_RUN = (
     "liaison.generate",
     "fractions",
     "decimal",
+    "argparse",
+    "gettext",
+    "locale",
+    "_hashlib",
 )
 
 
@@ -53,9 +57,16 @@ def test_run_loads_only_what_it_uses():
     assert loaded.isdisjoint(NEVER_AT_RUN), sorted(loaded.intersection(NEVER_AT_RUN))
 
 
+def test_compute_loads_only_what_it_uses():
+    loaded = _loaded("compute", "colon", "--ring", "QQ[x,y]", "--ideal", "x*y", "--by", "x")
+    assert loaded.isdisjoint(NEVER_AT_RUN), sorted(loaded.intersection(NEVER_AT_RUN))
+
+
 def test_gen_loads_the_generator():
     loaded = _loaded("gen", "--seed", "1", "--profile", "self-links", "--count", "1")
     assert "liaison.generate" in loaded
+    never = set(NEVER_AT_RUN) - {"liaison.generate", "random"}
+    assert loaded.isdisjoint(never), sorted(loaded.intersection(never))
 
 
 def test_a_non_integral_coefficient_loads_fractions(tmp_path):
